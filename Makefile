@@ -54,10 +54,11 @@ race:
 # Quick race pass over just the concurrent machinery: the experiment
 # session's concurrency tests (engine-backed memoization, the thermal
 # snapshot store's singleflight), the parallel thermal solver's banded
-# sweeps, the run engine, the campaign worker pool (journal writes under
-# commitState.mu) and the checkpoint crash/restore tests that race a
-# snapshotter against live commits. The rest of the experiment suite is
-# serial render code — `make race` covers it.
+# sweeps, the run engine, campaigns on the run engine (runsched compute
+# workers commit journal writes under commitState.mu) and the checkpoint
+# crash/restore tests that race a snapshotter against live commits. The
+# rest of the experiment suite is serial render code — `make race`
+# covers it.
 race-engine:
 	$(GO) test -race -count=1 -run 'Concurrent|WorkerCount|Race' ./internal/experiment/
 	$(GO) test -race -count=1 -run 'Solve|Precondition|SetPower|Clone' ./internal/thermal/
@@ -76,15 +77,18 @@ fmt:
 
 # End-to-end harness smoke: a small grid (8 trials plus a deliberate
 # livelock) journaled to disk, then resumed from the same journal. The
-# resumed report must be byte-identical to the fresh one and the wedged
-# self-test trial must be reported hung.
+# resumed report must be byte-identical to the fresh one, a one-worker
+# run of the same grid must match the two-worker one byte for byte, and
+# the wedged self-test trial must be reported hung.
 campaign-smoke: GRID = -bench gzip,mesa -seeds 2 -leadrates 40,80 -n 40000 \
-	-workers 2 -livelock-trial -livelock-after 3000 -json
+	-livelock-trial -livelock-after 3000 -json
 campaign-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/r3dfault $(GRID) -journal "$$tmp/run.jsonl" > "$$tmp/fresh.json" && \
-	$(GO) run ./cmd/r3dfault $(GRID) -journal "$$tmp/run.jsonl" -resume > "$$tmp/resumed.json" && \
+	$(GO) run ./cmd/r3dfault $(GRID) -workers 2 -journal "$$tmp/run.jsonl" > "$$tmp/fresh.json" && \
+	$(GO) run ./cmd/r3dfault $(GRID) -workers 2 -journal "$$tmp/run.jsonl" -resume > "$$tmp/resumed.json" && \
 	cmp "$$tmp/fresh.json" "$$tmp/resumed.json" || { echo "campaign-smoke: resume not byte-identical"; exit 1; }; \
+	$(GO) run ./cmd/r3dfault $(GRID) -workers 1 > "$$tmp/serial.json" && \
+	cmp "$$tmp/fresh.json" "$$tmp/serial.json" || { echo "campaign-smoke: -workers 1 not byte-identical to -workers 2"; exit 1; }; \
 	grep -q '"status": "hung"' "$$tmp/resumed.json" || { echo "campaign-smoke: livelock trial not hung"; exit 1; }; \
 	echo "campaign-smoke: OK"
 

@@ -1,7 +1,8 @@
 // Command r3dfault runs hardened Monte Carlo fault-injection campaigns:
-// a grid of benchmark × seed × rate trials fanned across a worker pool,
-// with per-trial panic isolation, a forward-progress watchdog that
-// reports wedged trials as "hung", and a resumable JSONL journal.
+// a grid of benchmark × seed × rate trials run on the deterministic
+// runsched engine, with per-trial panic isolation, a forward-progress
+// watchdog that reports wedged trials as "hung", and a resumable JSONL
+// journal.
 //
 // Examples:
 //

@@ -1,7 +1,10 @@
 // Package campaign is the hardened Monte Carlo harness over the fault
-// package's injection machinery: it fans a grid of trial configurations
-// across a worker pool and keeps the harness itself alive through every
-// pathology a trial can exhibit.
+// package's injection machinery: it runs a grid of trial configurations
+// on a runsched engine keyed by trial ID and keeps the harness itself
+// alive through every pathology a trial can exhibit. The campaign owns
+// no worker pool: its policy — run, journal, snapshot, report — is the
+// engine's compute function, so commitState.commit is called from
+// runsched compute workers.
 //
 // The paper's reliability claims (§3.5, §4, Figure 9) rest on
 // statistical fault-injection campaigns — thousands of config×seed
@@ -27,23 +30,21 @@
 //   - closing Config.Stop drains gracefully: in-flight trials finish,
 //     the journal is flushed, and a final snapshot commits before Run
 //     returns a partial (resumable) report;
-//   - restored outcomes can be shadow-verified RMT-style: a
-//     deterministic fraction is re-executed from scratch in the worker
-//     pool and byte-compared against the stored result, with mismatches
-//     surfaced as structured divergence findings instead of silently
-//     trusted;
+//   - restored outcomes can be shadow-verified RMT-style: they are
+//     preloaded into the engine, whose shadow check re-executes a
+//     deterministic fraction from scratch and byte-compares it against
+//     the stored result, with mismatches surfaced as structured
+//     divergence findings instead of silently trusted;
 //   - aggregation orders trials by ID, never by completion order, so
 //     the repo's determinism guarantee extends to parallel runs.
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"r3d/internal/backoff"
@@ -53,6 +54,7 @@ import (
 	"r3d/internal/iofault"
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
+	"r3d/internal/runsched"
 	"r3d/internal/trace"
 )
 
@@ -180,8 +182,9 @@ func BuildSystem(spec TrialSpec) (*core.System, error) {
 
 // Config drives Run.
 type Config struct {
-	// Workers is the goroutine-pool width (≤ 0 selects 1; trials are
-	// deterministic per spec, so any width yields the same report).
+	// Workers is the runsched engine's worker count (≤ 0 selects 1;
+	// trials are deterministic per spec, so any width yields the same
+	// report).
 	Workers int
 	// MaxRetries is the bounded per-trial retry budget for trials the
 	// watchdog reports hung: each retry perturbs the seed by a fixed
@@ -211,8 +214,9 @@ type Config struct {
 	Restore bool
 	// ShadowFraction in (0,1] enables RMT-style self-verification of
 	// restored state: that fraction of restored outcomes — selected
-	// deterministically by trial-ID hash — is re-executed from scratch
-	// in the worker pool and byte-compared against the stored result.
+	// deterministically by the FNV-32a hash of the trial ID — is
+	// re-executed from scratch by the runsched engine's shadow check and
+	// byte-compared against the stored result.
 	// Divergences land in Report.ShadowDivergences; the stored value
 	// still feeds the aggregate (the shadow checker detects, it does not
 	// silently repair).
@@ -268,23 +272,19 @@ type runner struct {
 // error either: the report simply carries Interrupted plus the trials
 // that completed.
 func Run(cfg Config, specs []TrialSpec) (*Report, error) {
-	seen := make(map[string]bool, len(specs))
+	byID := make(map[string]TrialSpec, len(specs))
 	for _, sp := range specs {
 		if sp.ID == "" {
 			return nil, fmt.Errorf("campaign: trial with empty ID")
 		}
-		if seen[sp.ID] {
+		if _, dup := byID[sp.ID]; dup {
 			return nil, fmt.Errorf("campaign: duplicate trial ID %q", sp.ID)
 		}
-		seen[sp.ID] = true
+		byID[sp.ID] = sp
 	}
 	r := &runner{cfg: cfg, wd: cfg.Watchdog.withDefaults(), builder: cfg.Builder}
 	if r.builder == nil {
 		r.builder = BuildSystem
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
 	}
 
 	fp, err := gridFingerprint(specs)
@@ -332,17 +332,20 @@ func Run(cfg Config, specs []TrialSpec) (*Report, error) {
 		}
 	}
 
-	outcomes := make([]TrialOutcome, len(specs))
-	var pending, shadows []int
-	for i, sp := range specs {
+	// Restored outcomes enter the engine as cached entries, so its
+	// shadow selection re-verifies them. Wall-clock-hung outcomes stay
+	// out: they are the one outcome class that is not a pure function
+	// of the spec, so they are never shadow-checked.
+	var pending, restored []string
+	var preload []runsched.Entry[string, TrialOutcome]
+	for _, sp := range specs {
 		out, ok := completed[sp.ID]
-		if !ok {
-			pending = append(pending, i)
-			continue
-		}
-		outcomes[i] = out
-		if shadowEligible(cfg.ShadowFraction, out) {
-			shadows = append(shadows, i)
+		switch {
+		case !ok:
+			pending = append(pending, sp.ID)
+		case out.Reason != ReasonWallClock:
+			restored = append(restored, sp.ID)
+			preload = append(preload, runsched.Entry[string, TrialOutcome]{Key: sp.ID, Val: out})
 		}
 	}
 
@@ -358,65 +361,46 @@ func Run(cfg Config, specs []TrialSpec) (*Report, error) {
 		st.every = DefaultCheckpointEvery
 	}
 
-	// Real trials first, shadow re-verifications after: on a drained
-	// run, unfinished work beats unfinished double-checking.
-	type job struct {
-		idx    int
-		shadow bool
-	}
-	jobList := make([]job, 0, len(pending)+len(shadows))
-	for _, i := range pending {
-		jobList = append(jobList, job{idx: i})
-	}
-	for _, i := range shadows {
-		jobList = append(jobList, job{idx: i, shadow: true})
-	}
-
-	// Per-trial-index slots: every job owns its index exclusively, so
-	// workers write without locks (the same discipline outcomes uses).
-	divSlots := make([]ShadowDivergence, len(specs))
-	divHit := make([]bool, len(specs))
-	var shadowChecked atomic.Int64
-
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if j.shadow {
-					shadowChecked.Add(1)
-					if d, ok := r.shadowCheck(specs[j.idx], outcomes[j.idx]); !ok {
-						divSlots[j.idx] = d
-						divHit[j.idx] = true
-					}
-					continue
-				}
-				out := r.trialWithTimeout(specs[j.idx])
-				outcomes[j.idx] = out
-				st.commit(out)
-				if cfg.OnOutcome != nil {
-					cfg.OnOutcome(out)
-				}
-			}
-		}()
-	}
-	interrupted := false
-dispatch:
-	for _, jb := range jobList {
-		select {
-		case jobs <- jb:
-		case <-cfg.Stop:
-			interrupted = true
-			break dispatch
+	// The compute function is the campaign policy. A fresh ID runs its
+	// trial and commits it; a preloaded ID is already cached, so it only
+	// reaches compute as a shadow re-check, which re-executes the trial
+	// from scratch and commits nothing.
+	var eng *runsched.Engine[string, TrialOutcome]
+	eng = runsched.New(func(id string) (TrialOutcome, error) {
+		if eng.Has(id) {
+			return r.runTrial(byID[id]), nil
 		}
+		out := r.trialWithTimeout(byID[id])
+		st.commit(out)
+		if cfg.OnOutcome != nil {
+			cfg.OnOutcome(out)
+		}
+		return out, nil
+	}, runsched.Options[string, TrialOutcome]{
+		Workers:        cfg.Workers,
+		Compare:        strings.Compare,
+		ShadowFraction: cfg.ShadowFraction,
+		Hash: func(id string) uint32 {
+			h := fnv.New32a()
+			_, _ = h.Write([]byte(id)) // fnv.Write cannot fail
+			return h.Sum32()
+		},
+		Encode: func(out TrialOutcome) ([]byte, error) { return json.Marshal(out) },
+	})
+	eng.Preload(preload)
+
+	// Real trials first, shadow re-verifications after: on a drained
+	// run, unfinished work beats unfinished double-checking. compute
+	// never fails, so the only error a batch reports is ErrInterrupted.
+	interrupted := eng.PrefetchUntil(pending, cfg.Stop) != nil
+	if !interrupted {
+		interrupted = eng.PrefetchUntil(restored, cfg.Stop) != nil
 	}
-	close(jobs)
-	wg.Wait()
 
 	// Commit the final state: journal durable first, then the snapshot
-	// that references it — the ordering a restore depends on.
+	// that references it — the ordering a restore depends on. A drained
+	// run's outcome set holds only what completed, so the partial
+	// aggregate is itself well-formed (and resumable into the full one).
 	if jr != nil {
 		jr.sync()
 	}
@@ -426,6 +410,10 @@ dispatch:
 		st.snapshotLocked()
 	}
 	notes = append(notes, st.notes...)
+	present := make([]TrialOutcome, 0, len(st.outcomes))
+	for _, id := range detmap.SortedKeys(st.outcomes) {
+		present = append(present, st.outcomes[id])
+	}
 	st.mu.Unlock()
 	if jr != nil {
 		if err := jr.close(); err != nil {
@@ -433,61 +421,14 @@ dispatch:
 		}
 	}
 
-	// A drained run reports only what completed; the zero-valued slots
-	// of never-dispatched trials are excluded, so the partial aggregate
-	// is itself well-formed (and resumable into the full one).
-	present := outcomes
-	if interrupted {
-		present = present[:0:0]
-		for _, out := range outcomes {
-			if out.ID != "" {
-				present = append(present, out)
-			}
-		}
-	}
 	rep := buildReport(present)
 	rep.Interrupted = interrupted
-	var divs []ShadowDivergence
-	for i := range divHit {
-		if divHit[i] {
-			divs = append(divs, divSlots[i])
-		}
+	for _, d := range eng.Divergences() {
+		rep.ShadowDivergences = append(rep.ShadowDivergences, ShadowDivergence{ID: d.Key, Stored: d.Stored, Recomputed: d.Recomputed})
 	}
-	sort.Slice(divs, func(i, j int) bool { return divs[i].ID < divs[j].ID })
-	rep.ShadowDivergences = divs
-	rep.ShadowChecked = int(shadowChecked.Load())
+	rep.ShadowChecked = eng.Stats().ShadowChecked
 	rep.Notes = notes
 	return rep, nil
-}
-
-// shadowEligible reports whether a restored outcome is a shadow-check
-// candidate: selection is a deterministic function of the trial ID, so
-// which trials get re-verified is reproducible. Wall-clock-hung
-// outcomes are excluded — they are the one outcome class that is not a
-// pure function of the spec.
-func shadowEligible(fraction float64, out TrialOutcome) bool {
-	if fraction <= 0 || out.Reason == ReasonWallClock {
-		return false
-	}
-	if fraction >= 1 {
-		return true
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(out.ID)) // fnv.Write cannot fail
-	return float64(h.Sum32())/float64(1<<32) < fraction
-}
-
-// shadowCheck is the RMT mirror for restored state: re-execute the
-// trial from scratch and byte-compare the canonical encodings. ok=false
-// carries a structured divergence finding.
-func (r *runner) shadowCheck(spec TrialSpec, stored TrialOutcome) (ShadowDivergence, bool) {
-	recomputed := r.runTrial(spec)
-	a, aerr := json.Marshal(stored)
-	b, berr := json.Marshal(recomputed)
-	if aerr == nil && berr == nil && bytes.Equal(a, b) {
-		return ShadowDivergence{}, true
-	}
-	return ShadowDivergence{ID: spec.ID, Stored: string(a), Recomputed: string(b)}, false
 }
 
 // commitState serializes the post-trial commit path: journal append,

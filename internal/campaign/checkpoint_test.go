@@ -236,14 +236,21 @@ func TestGracefulDrainThenRestoreIsByteIdentical(t *testing.T) {
 		t.Fatalf("drain finished all %d trials; nothing left to test restore with", len(specs))
 	}
 
+	// Shadow-check every restored outcome: exactly the trials the
+	// drained run completed are re-verified, never the fresh ones the
+	// restore runs for the first time.
 	cfg.Stop = nil
 	cfg.Restore = true
+	cfg.ShadowFraction = 1
 	resumed, err := Run(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.Interrupted {
 		t.Error("completed restore must not report Interrupted")
+	}
+	if resumed.ShadowChecked != len(partial.Trials) {
+		t.Errorf("shadow-checked %d outcome(s), want the %d the drained run completed", resumed.ShadowChecked, len(partial.Trials))
 	}
 	if got := reportJSON(t, resumed); !bytes.Equal(want, got) {
 		t.Errorf("drain+restore aggregate differs from uninterrupted run:\n%s\n--- vs ---\n%s", got, want)
@@ -328,14 +335,38 @@ func TestShadowVerificationCleanRestoreHasNoDivergences(t *testing.T) {
 	if _, err := Run(Config{Workers: 2, Watchdog: fastWatchdog, JournalPath: journal}, specs); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(Config{Workers: 2, Watchdog: fastWatchdog, JournalPath: journal, Resume: true, ShadowFraction: 1}, specs)
+	before, err := os.Stat(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh atomic.Int64
+	rep, err := Run(Config{
+		Workers:        2,
+		Watchdog:       fastWatchdog,
+		JournalPath:    journal,
+		Resume:         true,
+		ShadowFraction: 1,
+		OnOutcome:      func(TrialOutcome) { fresh.Add(1) },
+	}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every non-wall-clock trial is checked; a deterministic simulator
 	// reproduces each outcome exactly.
-	if rep.ShadowChecked == 0 {
-		t.Error("ShadowFraction=1 ran no shadow checks")
+	if rep.ShadowChecked != len(specs) {
+		t.Errorf("ShadowFraction=1 checked %d outcome(s), want all %d", rep.ShadowChecked, len(specs))
+	}
+	// A shadow recompute is a check, not progress: it neither journals
+	// nor reports its outcome.
+	after, err := os.Stat(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Errorf("shadow checks grew the journal from %d to %d bytes", before.Size(), after.Size())
+	}
+	if n := fresh.Load(); n != 0 {
+		t.Errorf("OnOutcome fired %d time(s) for shadow recomputes, want 0", n)
 	}
 	if len(rep.ShadowDivergences) != 0 {
 		t.Errorf("clean restore diverged: %+v", rep.ShadowDivergences)

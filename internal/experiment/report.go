@@ -64,7 +64,7 @@ func (r EngineReport) String() string {
 	st := r.Stats
 	fmt.Fprintf(&b, "engine: %d workers, %d computed (%d err), %d cache hits, %d singleflight joins\n",
 		r.Workers, st.Computed, st.Errors, st.Hits, st.Joins)
-	fmt.Fprintf(&b, "engine: batches requested %d keys, %d deduplicated; compute wall %.1f ms total\n",
+	fmt.Fprintf(&b, "engine: batches requested %d keys, %d deduplicated; summed worker compute %.1f ms\n",
 		st.BatchRequested, st.BatchDeduped, float64(st.ComputeNanos)/1e6)
 	if th := r.Thermal; th.Solves > 0 {
 		fmt.Fprintf(&b, "thermal: %d solves, %d snapshot hits, %d joins; %d fine + %d coarse SOR iters\n",

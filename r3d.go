@@ -108,7 +108,7 @@ type ReliableResult struct {
 // the checker's frequency range (2.0 for the homogeneous stack, 1.4 for
 // the §4 90 nm checker die).
 func RunReliable(name string, org L2Org, n uint64, maxCheckerGHz float64, seed int64) (ReliableResult, error) {
-	sys, err := newSystem(name, org, maxCheckerGHz, seed)
+	sys, err := campaign.BuildSystem(campaign.TrialSpec{Bench: name, L2: string(org), CheckerMaxGHz: maxCheckerGHz, Config: fault.CampaignConfig{Seed: seed}})
 	if err != nil {
 		return ReliableResult{}, err
 	}
@@ -142,7 +142,7 @@ type InjectionResult struct {
 // surfaces as an error instead of killing the process. Grid campaigns
 // over many seeds and rates belong to cmd/r3dfault.
 func RunInjection(name string, n uint64, nodeNm int, leadPerM, checkerPerM float64, seed int64) (InjectionResult, error) {
-	sys, err := newSystem(name, L2Org2DA, 2.0, seed)
+	sys, err := campaign.BuildSystem(campaign.TrialSpec{Bench: name, L2: string(L2Org2DA), CheckerMaxGHz: 2.0, Config: fault.CampaignConfig{Seed: seed}})
 	if err != nil {
 		return InjectionResult{}, err
 	}
@@ -177,27 +177,6 @@ func TechScaling(oldNm, newNm int) (dynamic, leakage float64, err error) {
 		return 0, 0, err
 	}
 	return s.Dynamic, s.Leakage, nil
-}
-
-func newSystem(name string, org L2Org, maxGHz float64, seed int64) (*core.System, error) {
-	b, err := trace.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	l2cfg, err := org.config()
-	if err != nil {
-		return nil, err
-	}
-	g := trace.MustGenerator(b.Profile, seed)
-	lead, err := ooo.New(ooo.Default(), g, nuca.New(l2cfg))
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Default(ooo.Default())
-	if maxGHz > 0 {
-		cfg.CheckerMaxFreqGHz = maxGHz
-	}
-	return core.New(cfg, lead)
 }
 
 func reliableResult(name string, sys *core.System, st core.SystemStats) ReliableResult {
