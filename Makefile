@@ -11,7 +11,7 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-test: crash-test serve-smoke chaos-test
+test: crash-test serve-smoke chaos-test campaign-smoke
 	$(GO) test ./...
 
 # gofmt -l prints offending files but always exits 0; fail if it
@@ -75,19 +75,27 @@ bench-thermal:
 fmt:
 	gofmt -w .
 
-# End-to-end harness smoke: a small grid (8 trials plus a deliberate
-# livelock) journaled to disk, then resumed from the same journal. The
-# resumed report must be byte-identical to the fresh one, a one-worker
-# run of the same grid must match the two-worker one byte for byte, and
-# the wedged self-test trial must be reported hung.
-campaign-smoke: GRID = -bench gzip,mesa -seeds 2 -leadrates 40,80 -n 40000 \
+# End-to-end harness smoke (part of `make test`): a small grid (8 trials
+# plus a deliberate livelock) on the stacked 3d-2a L2, journaled to
+# disk, then resumed from the same journal. The resumed report must be
+# byte-identical to the fresh one, a one-worker run of the same grid
+# must match the two-worker one byte for byte, the wedged self-test
+# trial must be reported hung, and a grid naming an unknown L2
+# organization must be refused with a non-zero exit.
+campaign-smoke: GRID = -bench gzip,mesa -seeds 2 -leadrates 40,80 -l2 3d-2a -n 40000 \
 	-livelock-trial -livelock-after 3000 -json
 campaign-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/r3dfault $(GRID) -workers 2 -journal "$$tmp/run.jsonl" > "$$tmp/fresh.json" && \
-	$(GO) run ./cmd/r3dfault $(GRID) -workers 2 -journal "$$tmp/run.jsonl" -resume > "$$tmp/resumed.json" && \
+	$(GO) build -o "$$tmp/r3dfault" ./cmd/r3dfault || exit 1; \
+	if "$$tmp/r3dfault" -bench gzip -seeds 1 -n 20000 -l2 bogus > /dev/null 2> "$$tmp/bogus.err"; then \
+		echo "campaign-smoke: -l2 bogus accepted"; exit 1; \
+	fi; \
+	grep -q 'unknown L2 organization "bogus"' "$$tmp/bogus.err" || { \
+		echo "campaign-smoke: -l2 bogus failed for another reason:"; cat "$$tmp/bogus.err"; exit 1; }; \
+	"$$tmp/r3dfault" $(GRID) -workers 2 -journal "$$tmp/run.jsonl" > "$$tmp/fresh.json" && \
+	"$$tmp/r3dfault" $(GRID) -workers 2 -journal "$$tmp/run.jsonl" -resume > "$$tmp/resumed.json" && \
 	cmp "$$tmp/fresh.json" "$$tmp/resumed.json" || { echo "campaign-smoke: resume not byte-identical"; exit 1; }; \
-	$(GO) run ./cmd/r3dfault $(GRID) -workers 1 > "$$tmp/serial.json" && \
+	"$$tmp/r3dfault" $(GRID) -workers 1 > "$$tmp/serial.json" && \
 	cmp "$$tmp/fresh.json" "$$tmp/serial.json" || { echo "campaign-smoke: -workers 1 not byte-identical to -workers 2"; exit 1; }; \
 	grep -q '"status": "hung"' "$$tmp/resumed.json" || { echo "campaign-smoke: livelock trial not hung"; exit 1; }; \
 	echo "campaign-smoke: OK"

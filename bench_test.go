@@ -171,9 +171,7 @@ func BenchmarkSection4(b *testing.B) {
 // BenchmarkLeadingCore measures raw out-of-order simulation speed
 // (reported as ns per simulated instruction).
 func BenchmarkLeadingCore(b *testing.B) {
-	bench, _ := trace.ByName("gzip")
-	g := trace.MustGenerator(bench.Profile, 1)
-	c, err := ooo.New(ooo.Default(), g, nuca.New(nuca.Config2DA(nuca.DistributedSets)))
+	c, err := ooo.ForBench("gzip", 1, ooo.Default(), nuca.Config2DA(nuca.DistributedSets))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"time"
 
 	"r3d/internal/nuca"
@@ -34,12 +35,15 @@ func main() {
 		"bench", "tgtIPC", "IPC", "mispr%", "L1D%", "L2hit", "m10k@6", "m10k@15")
 	var sum6, sum15 float64
 	for _, b := range trace.Suite() {
-		run := func(cfg nuca.Config) ooo.Stats {
-			g := trace.MustGenerator(b.Profile, *seed)
-			c, err := ooo.New(ooo.Default(), g, nuca.New(cfg))
+		newCore := func(l2 nuca.Config) *ooo.Core {
+			c, err := ooo.ForBench(b.Profile.Name, *seed, ooo.Default(), l2)
 			if err != nil {
-				panic(err)
+				log.Fatal(err)
 			}
+			return c
+		}
+		run := func(l2 nuca.Config) ooo.Stats {
+			c := newCore(l2)
 			c.Run(*warm)
 			c.ResetStats()
 			c.SetFetchBudget(^uint64(0))
@@ -52,8 +56,7 @@ func main() {
 		s6 := run(nuca.Config2DA(nuca.DistributedSets))
 		s15 := run(nuca.Config2D2A(nuca.DistributedSets))
 
-		g := trace.MustGenerator(b.Profile, *seed)
-		c, _ := ooo.New(ooo.Default(), g, nuca.New(nuca.Config2DA(nuca.DistributedSets)))
+		c := newCore(nuca.Config2DA(nuca.DistributedSets))
 		c.Run(*warm + *meas)
 		ps := c.PredictorStats()
 		ds := c.L1DStats()

@@ -23,18 +23,9 @@ func main() {
 	cols := flag.Int("cols", 50, "heatmap width in characters")
 	flag.Parse()
 
-	var m experiment.ChipModel
-	switch *model {
-	case "2d-a":
-		m = experiment.M2DA
-	case "2d-2a":
-		m = experiment.M2D2A
-	case "3d-2a":
-		m = experiment.M3D2A
-	case "3d-checker":
-		m = experiment.M3DChecker
-	default:
-		log.Fatalf("unknown model %q", *model)
+	m, err := experiment.ParseChipModel(*model)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	q := experiment.Fast()

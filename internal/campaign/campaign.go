@@ -55,7 +55,6 @@ import (
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
 	"r3d/internal/runsched"
-	"r3d/internal/trace"
 )
 
 // Status classifies how a trial ended.
@@ -83,8 +82,8 @@ const (
 type TrialSpec struct {
 	ID    string `json:"id"`
 	Bench string `json:"bench"`
-	// L2 selects the cache organization: "2d-a" (default), "2d-2a" or
-	// "3d-2a".
+	// L2 selects the cache organization by nuca.ParseOrg name: "2d-a"
+	// (default), "2d-2a" or "3d-2a".
 	L2 string `json:"l2,omitempty"`
 	// CheckerMaxGHz caps the checker DFS range (0 = the 2.0 GHz
 	// homogeneous stack).
@@ -153,23 +152,11 @@ type SystemBuilder func(spec TrialSpec) (*core.System, error)
 // selected L2 organization, default leading core, checker capped at
 // spec.CheckerMaxGHz.
 func BuildSystem(spec TrialSpec) (*core.System, error) {
-	b, err := trace.ByName(spec.Bench)
+	org, err := nuca.ParseOrg(spec.L2)
 	if err != nil {
 		return nil, err
 	}
-	var l2cfg nuca.Config
-	switch spec.L2 {
-	case "", "2d-a":
-		l2cfg = nuca.Config2DA(nuca.DistributedSets)
-	case "2d-2a":
-		l2cfg = nuca.Config2D2A(nuca.DistributedSets)
-	case "3d-2a":
-		l2cfg = nuca.Config3D2A(nuca.DistributedSets)
-	default:
-		return nil, fmt.Errorf("campaign: unknown L2 organization %q", spec.L2)
-	}
-	g := trace.MustGenerator(b.Profile, spec.Config.Seed)
-	lead, err := ooo.New(ooo.Default(), g, nuca.New(l2cfg))
+	lead, err := ooo.ForBench(spec.Bench, spec.Config.Seed, ooo.Default(), org.Config(nuca.DistributedSets))
 	if err != nil {
 		return nil, err
 	}

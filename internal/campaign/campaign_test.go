@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,6 +84,33 @@ func TestGridExpansion(t *testing.T) {
 	}
 	if _, err := (Grid{}).Trials(); err == nil {
 		t.Error("empty grid accepted")
+	}
+}
+
+func TestGridRejectsInvalidAxes(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Grid)
+		want   string
+	}{
+		{"unknown benchmark", func(g *Grid) { g.Benches = []string{"gzip", "no-such-workload"} }, "unknown benchmark"},
+		{"unknown L2 organization", func(g *Grid) { g.L2 = "4d-z" }, "unknown L2 organization"},
+		{"negative checker cap", func(g *Grid) { g.CheckerMaxGHz = -3 }, "checker cap"},
+		{"NaN checker cap", func(g *Grid) { g.CheckerMaxGHz = math.NaN() }, "checker cap"},
+	}
+	for _, tc := range cases {
+		g := testGrid()
+		tc.mutate(&g)
+		if specs, err := g.Trials(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Trials() = %d specs, %v; want an error containing %q", tc.name, len(specs), err, tc.want)
+		}
+	}
+	for _, l2 := range []string{"", "2d-a", "2d-2a", "3d-2a"} {
+		g := testGrid()
+		g.L2, g.CheckerMaxGHz = l2, 1.4
+		if _, err := g.Trials(); err != nil {
+			t.Errorf("L2 %q: valid grid rejected: %v", l2, err)
+		}
 	}
 }
 

@@ -2,10 +2,13 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"r3d/internal/fault"
+	"r3d/internal/nuca"
 	"r3d/internal/tech"
+	"r3d/internal/trace"
 )
 
 // Grid describes a Cartesian campaign: benches × seeds × leading rates
@@ -36,10 +39,22 @@ type Grid struct {
 
 // Trials expands the grid. Every axis must be non-empty; rate axes
 // default to a single zero entry so a soft-error-only or timing-only
-// grid stays terse.
+// grid stays terse. Unknown benchmarks or L2 organizations and a
+// negative or NaN checker cap are rejected here, before any trial runs.
 func (g Grid) Trials() ([]TrialSpec, error) {
 	if len(g.Benches) == 0 {
 		return nil, fmt.Errorf("campaign: grid without benchmarks")
+	}
+	for _, bench := range g.Benches {
+		if _, err := trace.ByName(bench); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := nuca.ParseOrg(g.L2); err != nil {
+		return nil, err
+	}
+	if g.CheckerMaxGHz < 0 || math.IsNaN(g.CheckerMaxGHz) {
+		return nil, fmt.Errorf("campaign: invalid checker cap %v GHz", g.CheckerMaxGHz)
 	}
 	if len(g.Seeds) == 0 {
 		return nil, fmt.Errorf("campaign: grid without seeds")

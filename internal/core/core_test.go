@@ -6,17 +6,11 @@ import (
 	"r3d/internal/inorder"
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
-	"r3d/internal/trace"
 )
 
 func newSystem(t *testing.T, bench string, seed int64) *System {
 	t.Helper()
-	b, err := trace.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := trace.MustGenerator(b.Profile, seed)
-	lead, err := ooo.New(ooo.Default(), g, nuca.New(nuca.Config2DA(nuca.DistributedSets)))
+	lead, err := ooo.ForBench(bench, seed, ooo.Default(), nuca.Config2DA(nuca.DistributedSets))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +77,10 @@ func TestCheckerLagsWithinSlack(t *testing.T) {
 func TestNegligibleLeadingSlowdown(t *testing.T) {
 	// §2.1/§3.3: the checker rarely stalls the leading thread. Compare
 	// the leading core's IPC with and without the RMT coupling.
-	b, _ := trace.ByName("gzip")
-	g1 := trace.MustGenerator(b.Profile, 3)
-	alone, _ := ooo.New(ooo.Default(), g1, nuca.New(nuca.Config2DA(nuca.DistributedSets)))
+	alone, err := ooo.ForBench("gzip", 3, ooo.Default(), nuca.Config2DA(nuca.DistributedSets))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ipcAlone := alone.Run(80000).IPC()
 
 	s := newSystem(t, "gzip", 3)
@@ -220,9 +215,11 @@ func TestCheckerCycleHookSeesPeriod(t *testing.T) {
 
 func TestHeterogeneousCapClampsFrequency(t *testing.T) {
 	// §4: a 90 nm checker die is capped at 1.4 GHz.
-	b, _ := trace.ByName("mesa") // demanding workload pushes the cap
-	g := trace.MustGenerator(b.Profile, 11)
-	lead, _ := ooo.New(ooo.Default(), g, nuca.New(nuca.Config2DA(nuca.DistributedSets)))
+	// mesa is a demanding workload that pushes the cap.
+	lead, err := ooo.ForBench("mesa", 11, ooo.Default(), nuca.Config2DA(nuca.DistributedSets))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Default(ooo.Default())
 	cfg.CheckerMaxFreqGHz = 1.4
 	s, err := New(cfg, lead)

@@ -111,21 +111,15 @@ func (s *Session) rmtVariant(bench string, v DFSVariant) (RMTRun, error) {
 // with the named variant's thresholds substituted into the DFS
 // controller.
 func (s *Session) computeDFSVariant(k RunKey) (RMTRun, error) {
-	var v DFSVariant
-	found := false
-	for _, cand := range DFSVariants() {
-		if cand.Name == k.DFSVariant {
-			v, found = cand, true
-			break
+	for _, v := range DFSVariants() {
+		if v.Name == k.DFSVariant {
+			cfg := core.Default(ooo.Default())
+			cfg.RVQLo, cfg.RVQHi, cfg.DFSIntervalCycles = v.Lo, v.Hi, v.Interval
+			cfg.EmergencyRamp = v.Emergency
+			return s.runRMTWindow(k, cfg)
 		}
 	}
-	if !found {
-		return RMTRun{}, fmt.Errorf("experiment: unknown DFS variant %q", k.DFSVariant)
-	}
-	cfg := core.Default(ooo.Default())
-	cfg.RVQLo, cfg.RVQHi, cfg.DFSIntervalCycles = v.Lo, v.Hi, v.Interval
-	cfg.EmergencyRamp = v.Emergency
-	return s.runRMTWindow(k, cfg)
+	return RMTRun{}, fmt.Errorf("experiment: unknown DFS variant %q", k.DFSVariant)
 }
 
 // String renders the ablation table.

@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"r3d/internal/floorplan"
 	"r3d/internal/thermal"
 )
 
@@ -27,6 +29,29 @@ func TestQualitySuite(t *testing.T) {
 	}
 	if got := len(Fast().Suite()); got != 6 {
 		t.Errorf("fast suite has %d benchmarks, want 6", got)
+	}
+}
+
+func TestChipModelTable(t *testing.T) {
+	for m, name := range []string{"2d-a", "2d-2a", "3d-2a", "3d-checker"} {
+		got, err := ParseChipModel(name)
+		if err != nil || got != ChipModel(m) || got.String() != name {
+			t.Errorf("ParseChipModel(%q) = %v, %v; want %d", name, got, err, m)
+		}
+		if _, err := buildPlan(got, floorplan.DefaultOptions()); err != nil {
+			t.Errorf("%s floorplan: %v", name, err)
+		}
+	}
+	if _, err := ParseChipModel("4d-z"); err == nil {
+		t.Error("unknown chip model must error")
+	}
+	for _, m := range []ChipModel{-1, M3DChecker + 1} {
+		if got, want := m.String(), fmt.Sprintf("chipmodel(%d)", int(m)); got != want {
+			t.Errorf("ChipModel(%d).String() = %q, want %q", int(m), got, want)
+		}
+		if _, err := buildPlan(m, floorplan.DefaultOptions()); err == nil {
+			t.Errorf("buildPlan(ChipModel(%d)) must error", int(m))
+		}
 	}
 }
 

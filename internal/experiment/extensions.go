@@ -6,9 +6,7 @@ import (
 
 	"r3d/internal/core"
 	"r3d/internal/dtm"
-	"r3d/internal/floorplan"
 	"r3d/internal/inorder"
-	"r3d/internal/noc"
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
 	"r3d/internal/power"
@@ -118,26 +116,14 @@ func DTMStudy(s *Session, horizonMs float64) (DTMStudyResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rate15 := rate6 * 6 / 15
 
-	run := func(model ChipModel, checkerW float64) (dtm.Stats, error) {
-		fp := buildPlan(model, floorplan.DefaultOptions())
-		die1 := power.LeadingCorePower(act, 1, 1)
-		bank := power.L2BankPower(rate6, 1) + noc.RouterPowerW
-		die2 := power.BlockPowers{}
-		switch model {
-		case M2DA:
-			for i := 0; i < 6; i++ {
-				die1[fmt.Sprintf("L2Bank%d", i)] = bank
-			}
-		case M3D2A:
-			for i := 0; i < 6; i++ {
-				die1[fmt.Sprintf("L2Bank%d", i)] = power.L2BankPower(rate15, 1) + noc.RouterPowerW
-			}
-			for i := 0; i < 9; i++ {
-				die2[fmt.Sprintf("TopBank%d", i)] = power.L2BankPower(rate15, 1) + noc.RouterPowerW
-			}
-			die2["Checker"] = checkerW
+	// The DTM maps are the steady-state cases' power maps at the
+	// transient grid, with the 15-bank chip's per-bank rate for 3d-2a.
+	run := func(c ThermalCase) (dtm.Stats, error) {
+		c = c.norm()
+		fp, err := buildPlan(c.Model, c.Opt)
+		if err != nil {
+			return dtm.Stats{}, err
 		}
 		// The transient stack is shared through the session's model
 		// cache, so both DTM runs (and any repeat) skip the conductance
@@ -146,21 +132,17 @@ func DTMStudy(s *Session, horizonMs float64) (DTMStudyResult, error) {
 		if err != nil {
 			return dtm.Stats{}, err
 		}
-		grids := [][][]float64{fp.PowerGrid(floorplan.LayerDie1, die1, dtmGridRes, dtmGridRes)}
-		if model == M3D2A {
-			grids = append(grids, fp.PowerGrid(floorplan.LayerDie2, die2, dtmGridRes, dtmGridRes))
-		}
-		if err := ctl.RunPhase(dtm.Phase{DurationMs: horizonMs, Grids: grids}); err != nil {
+		if err := ctl.RunPhase(dtm.Phase{DurationMs: horizonMs, Grids: thermalPowerGrids(c, fp, dtmGridRes)}); err != nil {
 			return dtm.Stats{}, err
 		}
 		return ctl.Stats(), nil
 	}
 
-	st2, err := run(M2DA, 0)
+	st2, err := run(ThermalCase{Model: M2DA, Act: act, L2Rate: rate6})
 	if err != nil {
 		return res, err
 	}
-	st3, err := run(M3D2A, power.CheckerPessimisticW)
+	st3, err := run(ThermalCase{Model: M3D2A, Act: act, L2Rate: rate6 * 6 / 15, CheckerW: power.CheckerPessimisticW})
 	if err != nil {
 		return res, err
 	}

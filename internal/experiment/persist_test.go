@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -26,6 +27,14 @@ func tinyQuality() Quality {
 }
 
 func TestRunCacheSaveLoadRoundTrip(t *testing.T) {
+	// Persisted keys store the L2 organization as its integer value, and
+	// CompareRunKeys orders by it: the values must never move.
+	if L2DA != 0 || L2D2A != 1 || L3D2A != 2 {
+		t.Fatalf("L2 organization values moved: %d/%d/%d, want 0/1/2", L2DA, L2D2A, L3D2A)
+	}
+	if enc, err := json.Marshal(RunKey{L2: L3D2A}); err != nil || !strings.Contains(string(enc), `"L2":2,`) {
+		t.Fatalf("RunKey L2 encoding changed: %s (%v)", enc, err)
+	}
 	q := tinyQuality()
 	path := filepath.Join(t.TempDir(), "bench.ckpt")
 

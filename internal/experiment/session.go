@@ -256,37 +256,16 @@ func (s *Session) computeRun(k RunKey) (runValue, error) {
 	return runValue{}, fmt.Errorf("experiment: unknown run kind %d", k.Kind)
 }
 
-// L2Config names the paper's cache organizations for lookups.
-type L2Config int
+// L2Config names the paper's cache organizations for lookups; it is
+// nuca's organization table.
+type L2Config = nuca.Org
 
-// The four chip models of §3.3.
+// The L2 organizations of the §3.3 chip models.
 const (
-	L2DA  L2Config = iota // 6 MB, 6 banks (2d-a and 3d-checker)
-	L2D2A                 // 15 MB, single die (2d-2a)
-	L3D2A                 // 15 MB, stacked banks (3d-2a)
+	L2DA  = nuca.Org2DA  // 6 MB, 6 banks (2d-a and 3d-checker)
+	L2D2A = nuca.Org2D2A // 15 MB, single die (2d-2a)
+	L3D2A = nuca.Org3D2A // 15 MB, stacked banks (3d-2a)
 )
-
-func (c L2Config) nucaConfig(p nuca.Policy) nuca.Config {
-	switch c {
-	case L2D2A:
-		return nuca.Config2D2A(p)
-	case L3D2A:
-		return nuca.Config3D2A(p)
-	default:
-		return nuca.Config2DA(p)
-	}
-}
-
-func (c L2Config) String() string {
-	switch c {
-	case L2D2A:
-		return "2d-2a"
-	case L3D2A:
-		return "3d-2a"
-	default:
-		return "2d-a"
-	}
-}
 
 // Leading runs (or returns the memoized) standalone leading-core
 // window. memLatency overrides the 300-cycle memory latency when
@@ -298,17 +277,11 @@ func (s *Session) Leading(bench string, l2c L2Config, policy nuca.Policy, memLat
 
 // computeLeading is the KindLeading window body.
 func (s *Session) computeLeading(k RunKey) (LeadRun, error) {
-	b, err := trace.ByName(k.Bench)
-	if err != nil {
-		return LeadRun{}, err
-	}
 	cfg := ooo.Default()
 	if k.MemLatency > 0 {
 		cfg.MemLatencyCycles = k.MemLatency
 	}
-	g := trace.MustGenerator(b.Profile, k.Seed)
-	l2 := nuca.New(k.L2.nucaConfig(k.Policy))
-	c, err := ooo.New(cfg, g, l2)
+	c, err := ooo.ForBench(k.Bench, k.Seed, cfg, k.L2.Config(k.Policy))
 	if err != nil {
 		return LeadRun{}, err
 	}
@@ -321,7 +294,7 @@ func (s *Session) computeLeading(k RunKey) (LeadRun, error) {
 	return LeadRun{
 		Bench:   k.Bench,
 		Stats:   c.Stats(),
-		L2Stats: l2.Stats(),
+		L2Stats: c.L2().Stats(),
 		Pred:    c.PredictorStats().MispredictRate(),
 	}, nil
 }
@@ -344,13 +317,7 @@ func (s *Session) computeRMT(k RunKey) (RMTRun, error) {
 // runRMTWindow drives one coupled window with the given system config —
 // the shared body of the RMT, DFS-variant and RVQ-sizing kinds.
 func (s *Session) runRMTWindow(k RunKey, cfg core.Config) (RMTRun, error) {
-	b, err := trace.ByName(k.Bench)
-	if err != nil {
-		return RMTRun{}, err
-	}
-	g := trace.MustGenerator(b.Profile, k.Seed)
-	l2 := nuca.New(k.L2.nucaConfig(nuca.DistributedSets))
-	lead, err := ooo.New(ooo.Default(), g, l2)
+	lead, err := ooo.ForBench(k.Bench, k.Seed, ooo.Default(), k.L2.Config(nuca.DistributedSets))
 	if err != nil {
 		return RMTRun{}, err
 	}
@@ -388,19 +355,15 @@ func (s *Session) SuiteActivity(l2c L2Config) (power.Activity, float64, error) {
 	sum := power.Activity{}
 	var l2Rate float64
 	for _, b := range suite {
-		r, err := s.Leading(b.Profile.Name, l2c, nuca.DistributedSets, 0)
+		act, rate, err := s.BenchActivity(b.Profile.Name, l2c)
 		if err != nil {
 			return nil, 0, err
 		}
-		act := power.ActivityFromStats(r.Stats, ooo.Default())
 		//lint:ignore maporder each key of sum is updated independently, so order cannot affect any entry
 		for k, v := range act {
 			sum[k] += v
 		}
-		banks := len(r.L2Stats.BankAccesses)
-		if cycles := r.Stats.Activity.Cycles; cycles > 0 && banks > 0 {
-			l2Rate += float64(r.L2Stats.Accesses) / float64(cycles) / float64(banks)
-		}
+		l2Rate += rate
 	}
 	n := float64(len(suite))
 	//lint:ignore maporder per-key scaling touches each entry exactly once; order-independent

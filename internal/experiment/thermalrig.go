@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"sync"
 
 	"r3d/internal/floorplan"
@@ -24,17 +25,41 @@ const (
 	M3DChecker
 )
 
-func (m ChipModel) String() string {
-	switch m {
-	case M2D2A:
-		return "2d-2a"
-	case M3D2A:
-		return "3d-2a"
-	case M3DChecker:
-		return "3d-checker"
-	default:
-		return "2d-a"
+// chipModels is the one table of the chip models: each model's name and
+// floorplan. Everything else about a model's layout (banks, checker die)
+// is read off the floorplan's blocks.
+var chipModels = [...]struct {
+	name string
+	plan func(floorplan.Options) *floorplan.Floorplan
+}{
+	M2DA:       {"2d-a", func(floorplan.Options) *floorplan.Floorplan { return floorplan.Build2DA() }},
+	M2D2A:      {"2d-2a", floorplan.Build2D2A},
+	M3D2A:      {"3d-2a", floorplan.Build3D2A},
+	M3DChecker: {"3d-checker", floorplan.Build3DChecker},
+}
+
+// ParseChipModel resolves a chip-model name (2d-a, 2d-2a, 3d-2a or
+// 3d-checker).
+func ParseChipModel(name string) (ChipModel, error) {
+	for m, e := range chipModels {
+		if e.name == name {
+			return ChipModel(m), nil
+		}
 	}
+	return 0, fmt.Errorf("experiment: unknown chip model %q", name)
+}
+
+func (m ChipModel) valid() bool {
+	return m >= 0 && int(m) < len(chipModels)
+}
+
+// String names the model; a value outside the table names itself
+// chipmodel(N).
+func (m ChipModel) String() string {
+	if !m.valid() {
+		return fmt.Sprintf("chipmodel(%d)", int(m))
+	}
+	return chipModels[m].name
 }
 
 // ThermalCase is one thermal evaluation point.
@@ -102,17 +127,13 @@ func (c ThermalCase) norm() ThermalCase {
 	return c
 }
 
-func buildPlan(m ChipModel, opt floorplan.Options) *floorplan.Floorplan {
-	switch m {
-	case M2D2A:
-		return floorplan.Build2D2A(opt)
-	case M3D2A:
-		return floorplan.Build3D2A(opt)
-	case M3DChecker:
-		return floorplan.Build3DChecker(opt)
-	default:
-		return floorplan.Build2DA()
+// buildPlan builds and validates the chip model's floorplan.
+func buildPlan(m ChipModel, opt floorplan.Options) (*floorplan.Floorplan, error) {
+	if !m.valid() {
+		return nil, fmt.Errorf("experiment: unknown chip model %v", m)
 	}
+	fp := chipModels[m].plan(opt)
+	return fp, fp.Validate()
 }
 
 // thermalKey identifies one thermal solve: the stack geometry plus a
@@ -180,14 +201,11 @@ func (s *Session) SolveThermalDetailed(c ThermalCase) (*thermal.Solver, ThermalR
 // solved field.
 func (s *Session) solveThermal(c ThermalCase, withState bool) (*thermal.State, ThermalResult, error) {
 	c = c.norm()
-	fp := buildPlan(c.Model, c.Opt)
-	if err := fp.Validate(); err != nil {
-		return nil, ThermalResult{}, err
-	}
-	grids, err := thermalPowerGrids(c, fp)
+	fp, err := buildPlan(c.Model, c.Opt)
 	if err != nil {
 		return nil, ThermalResult{}, err
 	}
+	grids := thermalPowerGrids(c, fp, thermal.GridResolution)
 	geom := thermalGeomKey(fp, thermal.GridResolution)
 	key := thermalKey{geom: geom, fp: fingerprintGrids(geom, grids)}
 
@@ -273,47 +291,36 @@ func (s *Session) computeThermal(m *thermal.Model, fp *floorplan.Floorplan, grid
 	return &thermalSnapshot{state: st, res: res}, nil
 }
 
-// thermalPowerGrids renders a case's per-die power grids (die 1 always;
-// die 2 for stacked models) — a pure function of the case.
-func thermalPowerGrids(c ThermalCase, fp *floorplan.Floorplan) ([][][]float64, error) {
+// thermalPowerGrids renders a normalized case's per-die power grids at
+// res×res (die 1 always; die 2 for stacked models) — a pure function of
+// the case. The floorplan's blocks say what is powered where: the
+// leading core and L2Bank* on die 1, TopBank* on die 2, and the Checker
+// on whichever die the model puts it.
+func thermalPowerGrids(c ThermalCase, fp *floorplan.Floorplan, res int) [][][]float64 {
 	die1 := power.LeadingCorePower(c.Act, 1, 1)
 	//lint:ignore maporder per-key scaling touches each entry exactly once; order-independent
 	for k := range die1 {
 		die1[k] *= c.Scale
 	}
 	bank := (power.L2BankPower(c.L2Rate, 1) + noc.RouterPowerW) * c.Scale
-	die2 := power.BlockPowers{}
-	switch c.Model {
-	case M2DA:
-		for i := 0; i < 6; i++ {
-			die1[fmt.Sprintf("L2Bank%d", i)] = bank
+	topBank := (power.L2BankPower(c.L2Rate, c.TopLeakScale) + noc.RouterPowerW) * c.Scale
+	dies := [2]power.BlockPowers{floorplan.LayerDie1: die1, floorplan.LayerDie2: {}}
+	for _, b := range fp.Blocks {
+		switch {
+		case strings.HasPrefix(b.Name, "L2Bank"):
+			dies[b.Layer][b.Name] = bank
+		case strings.HasPrefix(b.Name, "TopBank"):
+			dies[b.Layer][b.Name] = topBank
+		case b.Name == "Checker":
+			dies[b.Layer][b.Name] = c.CheckerW * c.Scale
 		}
-	case M2D2A:
-		for i := 0; i < 15; i++ {
-			die1[fmt.Sprintf("L2Bank%d", i)] = bank
-		}
-		die1["Checker"] = c.CheckerW * c.Scale
-	case M3D2A:
-		for i := 0; i < 6; i++ {
-			die1[fmt.Sprintf("L2Bank%d", i)] = bank
-		}
-		topBank := (power.L2BankPower(c.L2Rate, c.TopLeakScale) + noc.RouterPowerW) * c.Scale
-		for i := 0; i < c.Opt.TopDieBanks; i++ {
-			die2[fmt.Sprintf("TopBank%d", i)] = topBank
-		}
-		die2["Checker"] = c.CheckerW * c.Scale
-	case M3DChecker:
-		for i := 0; i < 6; i++ {
-			die1[fmt.Sprintf("L2Bank%d", i)] = bank
-		}
-		die2["Checker"] = c.CheckerW * c.Scale
 	}
 
-	grids := [][][]float64{fp.PowerGrid(floorplan.LayerDie1, die1, thermal.GridResolution, thermal.GridResolution)}
+	grids := [][][]float64{fp.PowerGrid(floorplan.LayerDie1, dies[floorplan.LayerDie1], res, res)}
 	if fp.Layers == 2 {
-		grids = append(grids, fp.PowerGrid(floorplan.LayerDie2, die2, thermal.GridResolution, thermal.GridResolution))
+		grids = append(grids, fp.PowerGrid(floorplan.LayerDie2, dies[floorplan.LayerDie2], res, res))
 	}
-	return grids, nil
+	return grids
 }
 
 // thermalGeomKey names a stack geometry at a given grid resolution.

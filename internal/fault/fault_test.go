@@ -11,17 +11,11 @@ import (
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
 	"r3d/internal/tech"
-	"r3d/internal/trace"
 )
 
 func newSystem(t *testing.T, bench string, seed int64, maxGHz float64) *core.System {
 	t.Helper()
-	b, err := trace.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := trace.MustGenerator(b.Profile, seed)
-	lead, err := ooo.New(ooo.Default(), g, nuca.New(nuca.Config2DA(nuca.DistributedSets)))
+	lead, err := ooo.ForBench(bench, seed, ooo.Default(), nuca.Config2DA(nuca.DistributedSets))
 	if err != nil {
 		t.Fatal(err)
 	}

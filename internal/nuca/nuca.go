@@ -285,31 +285,79 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // --- Paper configurations --------------------------------------------------
 
+// Org names one of the paper's L2 organizations. Its integer values are
+// persisted (experiment run caches encode them), so they never change.
+type Org int
+
+// The three L2 organizations of §3.3.
+const (
+	Org2DA  Org = iota // 6 MB, 6 banks (2d-a and the lower die of 3d-checker)
+	Org2D2A            // 15 MB, 15 banks on a single die (2d-2a)
+	Org3D2A            // 15 MB, 6 lower-die + 9 stacked banks (3d-2a)
+)
+
 // Hop layouts calibrated to the paper's reported mean L2 hit latencies:
 // 18 cycles for the 6-bank 2d-a organization and 22 cycles for the
 // 15-bank 2d-2a organization; the 3d-2a top-die banks sit directly above
 // the lower die so the inter-die via adds no hops and the mean horizontal
 // distance stays at the 2d-a level (§3.3: "the move to 3D does not help
 // reduce the average L2 hit time compared to 2d-a").
-var (
-	hops2DA  = []int{1, 1, 1, 2, 2, 2}
-	hops2D2A = []int{1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3}
-	hops3D2A = []int{1, 1, 1, 2, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2, 2}
-)
+var orgs = [...]struct {
+	name string
+	hops []int
+}{
+	Org2DA:  {"2d-a", []int{1, 1, 1, 2, 2, 2}},
+	Org2D2A: {"2d-2a", []int{1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3}},
+	Org3D2A: {"3d-2a", []int{1, 1, 1, 2, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2, 2}},
+}
+
+// ParseOrg resolves an organization name; "" selects the 2d-a baseline.
+func ParseOrg(name string) (Org, error) {
+	if name == "" {
+		return Org2DA, nil
+	}
+	for o, e := range orgs {
+		if e.name == name {
+			return Org(o), nil
+		}
+	}
+	return 0, fmt.Errorf("nuca: unknown L2 organization %q", name)
+}
+
+func (o Org) valid() bool {
+	return o >= 0 && int(o) < len(orgs)
+}
+
+func (o Org) String() string {
+	if !o.valid() {
+		return fmt.Sprintf("org(%d)", int(o))
+	}
+	return orgs[o].name
+}
+
+// Config returns the organization's cache under policy p. An
+// out-of-range Org yields a bankless Config that fails Validate.
+func (o Org) Config(p Policy) Config {
+	c := Config{Name: o.String(), Policy: p}
+	if o.valid() {
+		c.HopsPerBank = append([]int(nil), orgs[o].hops...)
+	}
+	return c
+}
 
 // Config2DA returns the 6 MB 6-bank baseline L2 (model 2d-a and the
 // lower die of 3d-checker).
 func Config2DA(p Policy) Config {
-	return Config{Name: "2d-a", Policy: p, HopsPerBank: append([]int(nil), hops2DA...)}
+	return Org2DA.Config(p)
 }
 
 // Config2D2A returns the 15 MB 15-bank single-die L2 (model 2d-2a).
 func Config2D2A(p Policy) Config {
-	return Config{Name: "2d-2a", Policy: p, HopsPerBank: append([]int(nil), hops2D2A...)}
+	return Org2D2A.Config(p)
 }
 
 // Config3D2A returns the 15 MB L2 with 6 lower-die banks and 9 banks on
 // the stacked die (model 3d-2a).
 func Config3D2A(p Policy) Config {
-	return Config{Name: "3d-2a", Policy: p, HopsPerBank: append([]int(nil), hops3D2A...)}
+	return Org3D2A.Config(p)
 }

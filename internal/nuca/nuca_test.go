@@ -3,6 +3,7 @@ package nuca
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -208,5 +209,60 @@ func TestStatsCopyIsolated(t *testing.T) {
 func TestPolicyString(t *testing.T) {
 	if DistributedSets.String() != "distributed-sets" || DistributedWays.String() != "distributed-ways" {
 		t.Error("policy names wrong")
+	}
+}
+
+func TestOrgTable(t *testing.T) {
+	for _, o := range []Org{Org2DA, Org2D2A, Org3D2A} {
+		got, err := ParseOrg(o.String())
+		if err != nil || got != o {
+			t.Errorf("ParseOrg(%q) = %v, %v; want %v", o.String(), got, err, o)
+		}
+		for _, p := range []Policy{DistributedSets, DistributedWays} {
+			cfg := o.Config(p)
+			if cfg.Name != o.String() || cfg.Policy != p {
+				t.Errorf("%v.Config(%v) = %q/%v", o, p, cfg.Name, cfg.Policy)
+			}
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%v.Config(%v): %v", o, p, err)
+			}
+		}
+	}
+	if o, err := ParseOrg(""); err != nil || o != Org2DA {
+		t.Errorf(`ParseOrg("") = %v, %v; want 2d-a`, o, err)
+	}
+	if _, err := ParseOrg("4d-z"); err == nil {
+		t.Error("unknown organization must error")
+	}
+	for _, c := range []struct {
+		named, table Config
+	}{
+		{Config2DA(DistributedWays), Org2DA.Config(DistributedWays)},
+		{Config2D2A(DistributedWays), Org2D2A.Config(DistributedWays)},
+		{Config3D2A(DistributedWays), Org3D2A.Config(DistributedWays)},
+	} {
+		if !reflect.DeepEqual(c.named, c.table) {
+			t.Errorf("named config %+v differs from table %+v", c.named, c.table)
+		}
+	}
+	// Each call hands out its own hop slice.
+	a, b := Org2DA.Config(DistributedSets), Org2DA.Config(DistributedSets)
+	a.HopsPerBank[0] = 99
+	if b.HopsPerBank[0] == 99 || Org2DA.Config(DistributedSets).HopsPerBank[0] == 99 {
+		t.Error("Config must copy the table's hop layout")
+	}
+}
+
+func TestOutOfRangeOrgDoesNotPanic(t *testing.T) {
+	// A persisted run cache can decode any integer into an Org.
+	for _, o := range []Org{-1, 3, 1 << 20} {
+		name := o.String()
+		cfg := o.Config(DistributedSets)
+		if cfg.Name != name || cfg.Validate() == nil {
+			t.Errorf("Org(%d): config %+v must be named %q and invalid", int(o), cfg, name)
+		}
+		if _, err := ParseOrg(name); err == nil {
+			t.Errorf("Org(%d) name %q must not parse", int(o), name)
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"r3d/internal/cache"
 	"r3d/internal/isa"
 	"r3d/internal/nuca"
+	"r3d/internal/trace"
 )
 
 // Config holds the microarchitectural parameters (defaults in Default).
@@ -251,6 +252,25 @@ func New(cfg Config, src InstSource, l2 *nuca.Cache) (*Core, error) {
 		c.lastWriter[i] = -1
 	}
 	return c, nil
+}
+
+// ForBench builds the leading core every simulation window uses: the
+// named synthetic workload's generator, seeded with seed, feeding a
+// core with configuration cfg over a fresh NUCA L2 of organization l2
+// (reach it through Core.L2).
+func ForBench(bench string, seed int64, cfg Config, l2 nuca.Config) (*Core, error) {
+	b, err := trace.ByName(bench)
+	if err != nil {
+		return nil, err
+	}
+	if err := l2.Validate(); err != nil {
+		return nil, err
+	}
+	g, err := trace.NewGenerator(b.Profile, seed)
+	if err != nil {
+		return nil, err
+	}
+	return New(cfg, g, nuca.New(l2))
 }
 
 // Stats returns a copy of the statistics so far.

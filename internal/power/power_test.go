@@ -7,18 +7,11 @@ import (
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
 	"r3d/internal/tech"
-	"r3d/internal/trace"
 )
 
 func runBench(t *testing.T, name string) (ooo.Stats, *nuca.Cache) {
 	t.Helper()
-	b, err := trace.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := trace.MustGenerator(b.Profile, 17)
-	l2 := nuca.New(nuca.Config2DA(nuca.DistributedSets))
-	c, err := ooo.New(ooo.Default(), g, l2)
+	c, err := ooo.ForBench(name, 17, ooo.Default(), nuca.Config2DA(nuca.DistributedSets))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +21,7 @@ func runBench(t *testing.T, name string) (ooo.Stats, *nuca.Cache) {
 	for c.Stats().Instructions < 120000 {
 		c.Step(4)
 	}
-	return c.Stats(), l2
+	return c.Stats(), c.L2()
 }
 
 func TestLeadingCorePowerCalibration(t *testing.T) {

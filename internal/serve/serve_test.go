@@ -54,6 +54,13 @@ func tinyGrid(seed int64) *campaign.Grid {
 	}
 }
 
+// withGrid returns tinyGrid(1) with one field changed.
+func withGrid(mutate func(*campaign.Grid)) *campaign.Grid {
+	g := tinyGrid(1)
+	mutate(g)
+	return g
+}
+
 // blockingBuilder parks every trial build on release, so tests control
 // exactly when campaign jobs make progress. started (if non-nil)
 // receives one token per build reaching the gate.
@@ -221,6 +228,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown experiment", Submission{Kind: KindExperiment, Experiment: "nope"}, 400},
 		{"unknown tier", Submission{Kind: KindExperiment, Experiment: "table2", Quality: "galactic"}, 400},
 		{"empty grid", Submission{Kind: KindCampaign, Grid: &campaign.Grid{}}, 400},
+		{"unknown benchmark", Submission{Kind: KindCampaign, Grid: withGrid(func(g *campaign.Grid) { g.Benches = []string{"nope"} })}, 400},
+		{"unknown L2 organization", Submission{Kind: KindCampaign, Grid: withGrid(func(g *campaign.Grid) { g.L2 = "4d-z" })}, 400},
+		{"negative checker cap", Submission{Kind: KindCampaign, Grid: withGrid(func(g *campaign.Grid) { g.CheckerMaxGHz = -3 })}, 400},
 	}
 	for _, tc := range cases {
 		_, serr := s.Submit(tc.sub, "c1")

@@ -110,11 +110,15 @@ func fpProf(name string, ld, st, br, fp float64, trip int, w wsSpec, dep float64
 	return p
 }
 
+// suite is the suite built once for ByName; a Benchmark is a plain
+// value, so lookups hand out independent copies.
+var suite = Suite()
+
 // ByName returns the benchmark with the given name.
 func ByName(name string) (Benchmark, error) {
-	for _, b := range Suite() {
-		if b.Profile.Name == name {
-			return b, nil
+	for i := range suite {
+		if suite[i].Profile.Name == name {
+			return suite[i], nil
 		}
 	}
 	return Benchmark{}, fmt.Errorf("trace: unknown benchmark %q", name)

@@ -40,18 +40,6 @@ const (
 	L2Org3D2A L2Org = "3d-2a" // 15 MB, 9 banks stacked
 )
 
-func (o L2Org) config() (nuca.Config, error) {
-	switch o {
-	case L2Org2DA, "":
-		return nuca.Config2DA(nuca.DistributedSets), nil
-	case L2Org2D2A:
-		return nuca.Config2D2A(nuca.DistributedSets), nil
-	case L2Org3D2A:
-		return nuca.Config3D2A(nuca.DistributedSets), nil
-	}
-	return nuca.Config{}, fmt.Errorf("r3d: unknown L2 organization %q", o)
-}
-
 // Result summarizes a standalone leading-core run.
 type Result struct {
 	Benchmark      string
@@ -66,16 +54,11 @@ type Result struct {
 // RunBenchmark simulates n instructions of the named workload on the
 // out-of-order leading core with the given L2 organization.
 func RunBenchmark(name string, org L2Org, n uint64, seed int64) (Result, error) {
-	b, err := trace.ByName(name)
+	l2, err := nuca.ParseOrg(string(org))
 	if err != nil {
 		return Result{}, err
 	}
-	l2cfg, err := org.config()
-	if err != nil {
-		return Result{}, err
-	}
-	g := trace.MustGenerator(b.Profile, seed)
-	c, err := ooo.New(ooo.Default(), g, nuca.New(l2cfg))
+	c, err := ooo.ForBench(name, seed, ooo.Default(), l2.Config(nuca.DistributedSets))
 	if err != nil {
 		return Result{}, err
 	}
