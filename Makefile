@@ -4,14 +4,14 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-strict lint-json lint-stats race race-engine fmt campaign-smoke bench-fast bench-thermal crash-test serve-smoke chaos-test
+.PHONY: all build test lint lint-strict lint-json lint-stats race race-engine fmt campaign-smoke heat-smoke bench-fast bench-thermal crash-test serve-smoke chaos-test
 
 all: build lint test
 
 build:
 	$(GO) build ./...
 
-test: crash-test serve-smoke chaos-test campaign-smoke
+test: crash-test serve-smoke chaos-test campaign-smoke heat-smoke
 	$(GO) test ./...
 
 # gofmt -l prints offending files but always exits 0; fail if it
@@ -52,13 +52,13 @@ race:
 	$(GO) test -race -timeout 45m ./...
 
 # Quick race pass over just the concurrent machinery: the experiment
-# session's concurrency tests (engine-backed memoization, the thermal
-# snapshot store's singleflight), the parallel thermal solver's banded
-# sweeps, the run engine, campaigns on the run engine (runsched compute
-# workers commit journal writes under commitState.mu) and the checkpoint
-# crash/restore tests that race a snapshotter against live commits. The
-# rest of the experiment suite is serial render code — `make race`
-# covers it.
+# session's concurrency tests (window and steady-thermal memoization on
+# the run engine, the thermal case table), the parallel thermal
+# solver's banded sweeps, the run engine, campaigns on the run engine
+# (runsched compute workers commit journal writes under
+# commitState.mu) and the checkpoint crash/restore tests that race a
+# snapshotter against live commits. The rest of the experiment suite is
+# serial render code — `make race` covers it.
 race-engine:
 	$(GO) test -race -count=1 -run 'Concurrent|WorkerCount|Race' ./internal/experiment/
 	$(GO) test -race -count=1 -run 'Solve|Precondition|SetPower|Clone' ./internal/thermal/
@@ -99,6 +99,24 @@ campaign-smoke:
 	cmp "$$tmp/fresh.json" "$$tmp/serial.json" || { echo "campaign-smoke: -workers 1 not byte-identical to -workers 2"; exit 1; }; \
 	grep -q '"status": "hung"' "$$tmp/resumed.json" || { echo "campaign-smoke: livelock trial not hung"; exit 1; }; \
 	echo "campaign-smoke: OK"
+
+# Thermal CLI gate (part of `make test`): r3dheat's four chip models
+# plus the corner-checker variant must render byte-identically to
+# cmd/r3dheat/testdata/golden.txt, and a NaN checker power must exit
+# non-zero with the solver's non-physical-power error instead of
+# printing a field.
+heat-smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/r3dheat" ./cmd/r3dheat || exit 1; \
+	for m in 2d-a 2d-2a 3d-2a 3d-checker; do "$$tmp/r3dheat" -model $$m || exit 1; done > "$$tmp/out.txt"; \
+	"$$tmp/r3dheat" -model 3d-2a -corner >> "$$tmp/out.txt" || exit 1; \
+	cmp "$$tmp/out.txt" cmd/r3dheat/testdata/golden.txt || { echo "heat-smoke: output differs from testdata/golden.txt"; exit 1; }; \
+	if "$$tmp/r3dheat" -checker NaN > /dev/null 2> "$$tmp/nan.err"; then \
+		echo "heat-smoke: -checker NaN accepted"; exit 1; \
+	fi; \
+	grep -q 'power at row .* is NaN W' "$$tmp/nan.err" || { \
+		echo "heat-smoke: -checker NaN failed for another reason:"; cat "$$tmp/nan.err"; exit 1; }; \
+	echo "heat-smoke: OK"
 
 # Crash-safety gate (runs as part of `make test`): SIGKILL a journaled,
 # checkpointed campaign mid-run — no drain, no final flush — then

@@ -73,7 +73,7 @@ func BenchmarkTable8(b *testing.B) {
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiment.NewSession(benchQuality())
-		if _, err := experiment.Figure4(s, 1); err != nil {
+		if _, err := experiment.Figure4(s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiment.NewSession(benchQuality())
-		if _, err := experiment.Figure5(s, 1); err != nil {
+		if _, err := experiment.Figure5(s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkSection32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiment.NewSession(benchQuality())
-		if _, err := experiment.Section32Variants(s, 1); err != nil {
+		if _, err := experiment.Section32Variants(s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func BenchmarkThermalSolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := thermal.NewSolver(cfg)
+		s := thermal.NewModel(cfg).NewState()
 		if err := s.SetPower(0, grid); err != nil {
 			b.Fatal(err)
 		}

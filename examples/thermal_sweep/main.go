@@ -19,7 +19,7 @@ func main() {
 	q.Benchmarks = []string{"gzip", "mesa", "swim"}
 	s := experiment.NewSession(q)
 
-	fig4, err := experiment.Figure4(s, 1)
+	fig4, err := experiment.Figure4(s)
 	if err != nil {
 		log.Fatal(err)
 	}

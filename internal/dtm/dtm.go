@@ -121,16 +121,13 @@ func NewFromModel(m *thermal.Model, pol Policy) (*Controller, error) {
 // FreqGHz returns the current operating frequency.
 func (c *Controller) FreqGHz() float64 { return c.freqGHz }
 
-// Transient exposes the thermal state (for heatmaps).
-func (c *Controller) Transient() *thermal.Transient { return c.tr }
-
 // Stats returns a copy of the accumulated statistics.
 func (c *Controller) Stats() Stats {
 	s := c.st
 	if s.TimeMs > 0 {
 		s.MeanFreqGHz = c.weighted / s.TimeMs
 	}
-	s.FinalC = c.tr.Solver().PeakAllC()
+	s.FinalC = c.tr.State().PeakAllC()
 	return s
 }
 
@@ -164,7 +161,7 @@ func (c *Controller) RunPhase(p Phase) error {
 					scaled[y][x] = g[y][x] * scale
 				}
 			}
-			if err := c.tr.Solver().SetPower(die, scaled); err != nil {
+			if err := c.tr.State().SetPower(die, scaled); err != nil {
 				return err
 			}
 		}
@@ -173,7 +170,7 @@ func (c *Controller) RunPhase(p Phase) error {
 		}
 
 		// Sense and act.
-		peak := c.tr.Solver().PeakAllC()
+		peak := c.tr.State().PeakAllC()
 		if peak > c.st.PeakC {
 			c.st.PeakC = peak
 		}

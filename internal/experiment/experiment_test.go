@@ -114,7 +114,7 @@ func TestTables678(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	r, err := Figure4(session(), 1)
+	r, err := Figure4(session())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	r, err := Figure5(session(), 1)
+	r, err := Figure5(session())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestSection34(t *testing.T) {
 }
 
 func TestSection32(t *testing.T) {
-	r, err := Section32Variants(session(), 1)
+	r, err := Section32Variants(session())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestDTMStudy(t *testing.T) {
 
 func TestRenderersNonEmpty(t *testing.T) {
 	s := session()
-	f4, err := Figure4(s, 1)
+	f4, err := Figure4(s)
 	if err != nil {
 		t.Fatal(err)
 	}

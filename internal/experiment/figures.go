@@ -35,15 +35,15 @@ type Figure4Result struct {
 
 // Figure4Manifest declares the suite-activity windows behind the power
 // maps (the thermal sweep itself is prefetched through the session's
-// thermal snapshot store at render time).
+// thermal engine at render time).
 func Figure4Manifest(q Quality) []RunKey {
 	return activityKeys(q, L2DA)
 }
 
 // Figure4 regenerates Figure 4 using suite-average activity. The
-// 15-case thermal sweep is prefetched across workers; rendering then
-// reads the published snapshots.
-func Figure4(s *Session, workers int) (Figure4Result, error) {
+// 15-case thermal sweep is prefetched across the session's workers;
+// rendering then reads the memoized snapshots.
+func Figure4(s *Session) (Figure4Result, error) {
 	act, rate6, err := s.SuiteActivity(L2DA)
 	if err != nil {
 		return Figure4Result{}, err
@@ -56,7 +56,7 @@ func Figure4(s *Session, workers int) (Figure4Result, error) {
 			ThermalCase{Model: M2D2A, Act: act, L2Rate: rate15, CheckerW: w},
 			ThermalCase{Model: M3D2A, Act: act, L2Rate: rate15, CheckerW: w})
 	}
-	if err := s.PrefetchThermal(cases, workers); err != nil {
+	if err := s.PrefetchThermal(cases); err != nil {
 		return Figure4Result{}, err
 	}
 
@@ -114,9 +114,9 @@ func Figure5Manifest(q Quality) []RunKey {
 }
 
 // Figure5 regenerates Figure 5. The per-benchmark 5-case sweeps are
-// prefetched across workers as one batch (5·N cases), then rendered
-// from the published snapshots.
-func Figure5(s *Session, workers int) (Figure5Result, error) {
+// prefetched across the session's workers as one batch (5·N cases),
+// then rendered from the memoized snapshots.
+func Figure5(s *Session) (Figure5Result, error) {
 	var res Figure5Result
 	var batch []ThermalCase
 	for _, b := range s.Q.Suite() {
@@ -132,7 +132,7 @@ func Figure5(s *Session, workers int) (Figure5Result, error) {
 			ThermalCase{Model: M2D2A, Act: act, L2Rate: rate15, CheckerW: power.CheckerPessimisticW},
 			ThermalCase{Model: M3D2A, Act: act, L2Rate: rate15, CheckerW: power.CheckerPessimisticW})
 	}
-	if err := s.PrefetchThermal(batch, workers); err != nil {
+	if err := s.PrefetchThermal(batch); err != nil {
 		return Figure5Result{}, err
 	}
 	for _, b := range s.Q.Suite() {

@@ -80,11 +80,12 @@ func TestWorkerCountByteIdentity(t *testing.T) {
 	}
 }
 
-// TestConcurrentThermalSolves hammers the thermal snapshot store: many
+// TestConcurrentThermalSolves hammers the thermal engine: many
 // goroutines solving an overlapping case list concurrently must (a)
-// race-cleanly collapse duplicates onto one solve per distinct case and
-// (b) return results bit-identical to a fresh serial session — the
-// store's contents must not depend on arrival order or worker count.
+// race-cleanly collapse duplicates onto one solve per distinct case,
+// counting every request exactly once, and (b) return results
+// bit-identical to a fresh serial session — what the engine memoizes
+// must not depend on arrival order or worker count.
 func TestConcurrentThermalSolves(t *testing.T) {
 	q := Fast()
 	q.Benchmarks = []string{"gzip", "mesa"}
@@ -114,7 +115,7 @@ func TestConcurrentThermalSolves(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			if err := s.PrefetchThermal(cases, 3); err != nil {
+			if err := s.PrefetchThermal(cases); err != nil {
 				errc <- err
 				return
 			}
@@ -147,6 +148,17 @@ func TestConcurrentThermalSolves(t *testing.T) {
 	}
 	if th.Hits == 0 {
 		t.Errorf("concurrent repeats produced no snapshot hits: %+v", th)
+	}
+	// Each round prefetches and then solves every case: every request is
+	// a solve, a hit or a join, and nothing else.
+	if got, want := th.Solves+th.Hits+th.Joins, int64(rounds*2*len(cases)); got != want {
+		t.Errorf("Solves+Hits+Joins = %d, want %d requests: %+v", got, want, th)
+	}
+	s.thermalMu.Lock()
+	tabled := len(s.thermalCases)
+	s.thermalMu.Unlock()
+	if tabled != len(cases) {
+		t.Errorf("case table holds %d entries, want %d", tabled, len(cases))
 	}
 
 	// A fresh serial session must publish bit-identical snapshots: the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -246,5 +247,32 @@ func TestThermalNonConvergenceCountsWarnings(t *testing.T) {
 	}
 	if n := s2.ThermalWarnings(); n != 0 {
 		t.Errorf("ThermalWarnings = %d after a converged solve, want 0", n)
+	}
+}
+
+// TestThermalRejectsNonPhysicalPower: a NaN or negative checker power
+// is an error, never a "converged" field below ambient, and it counts
+// no solve and no convergence warning. The error is memoized: asking
+// again is an engine hit with the same error.
+func TestThermalRejectsNonPhysicalPower(t *testing.T) {
+	s := NewSession(tinyQuality())
+	act := power.Activity{}
+	for _, w := range []float64{math.NaN(), -500} {
+		c := ThermalCase{Model: M3D2A, Act: act, L2Rate: 0.1, CheckerW: w}
+		_, err := s.SolveThermal(c)
+		if err == nil || !strings.Contains(err.Error(), "die 1 power at row") {
+			t.Errorf("checker %v W: err = %v, want a SetPower error naming die 1", w, err)
+		}
+		st, _, err2 := s.SolveThermalDetailed(c)
+		if st != nil || err2 == nil || err2.Error() != err.Error() {
+			t.Errorf("checker %v W: detailed solve = (%v, %v), want (nil, %v)", w, st, err2, err)
+		}
+	}
+	th := s.ThermalStats()
+	if th.Solves != 0 || th.Hits != 2 || th.FineIters != 0 {
+		t.Errorf("thermal stats %+v, want 0 solves and 2 hits on the memoized errors", th)
+	}
+	if n := s.ThermalWarnings(); n != 0 {
+		t.Errorf("ThermalWarnings = %d, want 0", n)
 	}
 }

@@ -15,11 +15,10 @@ type Experiment struct {
 	// latencies of §3.3/§4 — are computed on demand through the same
 	// memoized engine and documented on each manifest.
 	Manifest func(q Quality) []RunKey
-	// Run renders the experiment. workers is the pool width for
-	// experiments that drive their own harness: the injection study's
-	// campaign and the thermal sweeps (fig4/fig5/sec32 prefetch their
-	// case lists through Session.PrefetchThermal). Everything else
-	// reaches parallelism via the session engine and ignores it.
+	// Run renders the experiment. workers is the pool width for the
+	// injection study's campaign, the one experiment that drives its own
+	// harness. Everything else, the thermal sweeps included, reaches
+	// parallelism through the session's engines and ignores it.
 	Run func(s *Session, workers int) (fmt.Stringer, error)
 }
 
@@ -40,9 +39,9 @@ func Registry() []Experiment {
 		{Name: "table8",
 			Run: func(*Session, int) (fmt.Stringer, error) { return Table8() }},
 		{Name: "fig4", Manifest: Figure4Manifest,
-			Run: func(s *Session, workers int) (fmt.Stringer, error) { return Figure4(s, workers) }},
+			Run: func(s *Session, _ int) (fmt.Stringer, error) { return Figure4(s) }},
 		{Name: "fig5", Manifest: Figure5Manifest,
-			Run: func(s *Session, workers int) (fmt.Stringer, error) { return Figure5(s, workers) }},
+			Run: func(s *Session, _ int) (fmt.Stringer, error) { return Figure5(s) }},
 		{Name: "fig6", Manifest: Figure6Manifest,
 			Run: func(s *Session, _ int) (fmt.Stringer, error) { return Figure6(s) }},
 		{Name: "fig7", Manifest: Figure7Manifest,
@@ -52,7 +51,7 @@ func Registry() []Experiment {
 		{Name: "fig9",
 			Run: func(*Session, int) (fmt.Stringer, error) { return Figure9() }},
 		{Name: "sec32", Manifest: Section32Manifest,
-			Run: func(s *Session, workers int) (fmt.Stringer, error) { return Section32Variants(s, workers) }},
+			Run: func(s *Session, _ int) (fmt.Stringer, error) { return Section32Variants(s) }},
 		{Name: "sec33", Manifest: Section33Manifest,
 			Run: func(s *Session, _ int) (fmt.Stringer, error) { return Section33(s) }},
 		{Name: "sec34",

@@ -259,9 +259,9 @@ func Section32Manifest(q Quality) []RunKey {
 }
 
 // Section32Variants regenerates the §3.2 design variants. The seven
-// thermal what-ifs are prefetched across workers, then rendered from
-// the published snapshots.
-func Section32Variants(s *Session, workers int) (Section32Result, error) {
+// thermal what-ifs are prefetched across the session's workers, then
+// rendered from the memoized snapshots.
+func Section32Variants(s *Session) (Section32Result, error) {
 	act, rate6, err := s.SuiteActivity(L2DA)
 	if err != nil {
 		return Section32Result{}, err
@@ -281,7 +281,7 @@ func Section32Variants(s *Session, workers int) (Section32Result, error) {
 		{Model: M3DChecker, Act: act, L2Rate: rate15, CheckerW: power.CheckerOptimisticW},
 		{Model: M3D2A, Opt: corner, Act: act, L2Rate: rate15, CheckerW: power.CheckerPessimisticW},
 		{Model: M3D2A, Opt: double, Act: act, L2Rate: rate15, CheckerW: power.CheckerPessimisticW},
-	}, workers); err != nil {
+	}); err != nil {
 		return res, err
 	}
 

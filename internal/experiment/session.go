@@ -111,33 +111,33 @@ type runValue struct {
 
 // Session caches simulation windows across experiments behind a
 // deterministic run engine. It is safe for concurrent use: windows are
-// memoized with per-key singleflight, and thermal solves are memoized
-// the same way — each distinct case (geometry + power maps) is a pure
-// function of its key, solved once on a private State over a shared
-// immutable thermal.Model and published as an immutable snapshot.
-// thermalMu only guards the store's maps; it is never held across a
+// memoized with per-key singleflight, and steady thermal solves are
+// memoized the same way on a second engine — each distinct case
+// (geometry + power maps) is a pure function of its key, solved once on
+// a private State over a shared immutable thermal.Model. thermalMu only
+// guards the model cache and the case table; it is never held across a
 // solve, so independent thermal cases solve concurrently.
 type Session struct {
 	Q   Quality
 	eng *runsched.Engine[RunKey, runValue]
+	// thermalEng memoizes steady solves by geometry and power-grid
+	// fingerprint.
+	thermalEng *runsched.Engine[thermalKey, *thermalSnapshot]
 
-	// thermalMu guards the thermal snapshot store (the four fields
-	// below). Solves run outside the lock on private states.
+	// thermalMu guards the two maps below. Solves run outside the lock
+	// on private states.
 	thermalMu sync.Mutex
 	// models caches immutable thermal models per stack geometry.
 	// r3dlint:guardedby thermalMu
 	models map[string]*thermal.Model
-	// thermalSnaps holds the published solve per case key.
+	// thermalCases holds the normalized case behind each thermal key, so
+	// the engine's compute function can rebuild its power grids.
 	// r3dlint:guardedby thermalMu
-	thermalSnaps map[thermalKey]*thermalSnapshot
-	// thermalInflight marks cases being solved right now; late arrivals
-	// join by waiting on the call's done channel.
-	// r3dlint:guardedby thermalMu
-	thermalInflight map[thermalKey]*thermalCall
-	// thermalStats counts store traffic (solves, hits, joins, iterations).
-	// r3dlint:guardedby thermalMu
-	thermalStats ThermalStats
+	thermalCases map[thermalKey]ThermalCase
 
+	// thermalFineIters / thermalCoarseIters sum the SOR iterations of
+	// every solve (ThermalStats).
+	thermalFineIters, thermalCoarseIters atomic.Int64
 	// thermalWarn counts solves that hit ThermalMaxIters before reaching
 	// ThermalTolC (see ThermalResult.Converged).
 	thermalWarn atomic.Int64
@@ -177,11 +177,14 @@ func NewParallelSession(q Quality, workers int, clock func() int64) *Session {
 // NewSessionWith creates a session with the full option set.
 func NewSessionWith(q Quality, opts SessionOptions) *Session {
 	s := &Session{
-		Q:               q,
-		models:          map[string]*thermal.Model{},
-		thermalSnaps:    map[thermalKey]*thermalSnapshot{},
-		thermalInflight: map[thermalKey]*thermalCall{},
+		Q:            q,
+		models:       map[string]*thermal.Model{},
+		thermalCases: map[thermalKey]ThermalCase{},
 	}
+	s.thermalEng = runsched.New(s.computeThermal, runsched.Options[thermalKey, *thermalSnapshot]{
+		Workers: opts.Workers,
+		Compare: compareThermalKeys,
+	})
 	engOpts := runsched.Options[RunKey, runValue]{
 		Workers: opts.Workers,
 		Compare: CompareRunKeys,

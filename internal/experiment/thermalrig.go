@@ -1,12 +1,12 @@
 package experiment
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"strings"
-	"sync"
 
 	"r3d/internal/floorplan"
 	"r3d/internal/noc"
@@ -96,12 +96,12 @@ type ThermalResult struct {
 	Converged bool
 }
 
-// ThermalStats counts the session's thermal snapshot-store traffic.
+// ThermalStats counts the session's thermal engine traffic.
 type ThermalStats struct {
-	// Solves is the number of fine-grid solves actually run; Hits the
-	// requests answered from a published snapshot; Joins the requests
-	// that waited on another goroutine's in-flight solve of the same
-	// case.
+	// Solves is the number of solves that produced a snapshot (cases
+	// rejected with an error are not counted); Hits the requests
+	// answered from the engine's memo; Joins the requests that waited on
+	// another goroutine's in-flight solve of the same case.
 	Solves int64 `json:"solves"`
 	Hits   int64 `json:"snapshot_hits"`
 	Joins  int64 `json:"joins"`
@@ -138,23 +138,27 @@ func buildPlan(m ChipModel, opt floorplan.Options) (*floorplan.Floorplan, error)
 
 // thermalKey identifies one thermal solve: the stack geometry plus a
 // fingerprint of the exact power grids. A solve is a pure function of
-// this key, so its result can be memoized and published once.
+// this key, so the thermal engine memoizes it and computes it once.
 type thermalKey struct {
 	geom string
 	fp   uint64
 }
 
-// thermalSnapshot is one published solve: the converged state (for
+// compareThermalKeys is the thermal engine's canonical order: geometry,
+// then grid fingerprint.
+func compareThermalKeys(a, b thermalKey) int {
+	if c := strings.Compare(a.geom, b.geom); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.fp, b.fp)
+}
+
+// thermalSnapshot is one memoized solve: the converged state (for
 // heatmaps and probing via SolveThermalDetailed) plus its result row.
+// It is immutable once the engine commits it.
 type thermalSnapshot struct {
 	state *thermal.State
 	res   ThermalResult
-}
-
-// thermalCall marks an in-flight solve; done is closed after the
-// snapshot is published (or, on error, after the call is withdrawn).
-type thermalCall struct {
-	done chan struct{}
 }
 
 // fingerprintGrids hashes the power grids (with the geometry string) to
@@ -176,98 +180,72 @@ func fingerprintGrids(geom string, grids [][][]float64) uint64 {
 }
 
 // SolveThermal evaluates one thermal case. Each distinct case (geometry
-// + power maps) is solved exactly once per session and memoized as an
-// immutable snapshot; concurrent requests for the same case join the
-// in-flight solve. No session lock is held across a solve, so
-// independent cases solve concurrently.
+// + power maps) is solved exactly once per session on the thermal
+// engine; concurrent requests for the same case join the in-flight
+// solve, and independent cases solve concurrently.
 func (s *Session) SolveThermal(c ThermalCase) (ThermalResult, error) {
-	_, res, err := s.solveThermal(c, false)
-	return res, err
-}
-
-// SolveThermalDetailed is SolveThermal but also returns a solver over a
-// private clone of the converged field (for heatmaps and further
-// probing; mutating it cannot disturb the published snapshot).
-func (s *Session) SolveThermalDetailed(c ThermalCase) (*thermal.Solver, ThermalResult, error) {
-	st, res, err := s.solveThermal(c, true)
+	snap, err := s.thermalSolve(c)
 	if err != nil {
-		return nil, res, err
+		return ThermalResult{}, err
 	}
-	return st.Solver(), res, nil
+	return snap.res, nil
 }
 
-// solveThermal resolves a case against the snapshot store: hit, join,
-// or compute-and-publish. withState asks for a private clone of the
-// solved field.
-func (s *Session) solveThermal(c ThermalCase, withState bool) (*thermal.State, ThermalResult, error) {
-	c = c.norm()
-	fp, err := buildPlan(c.Model, c.Opt)
+// SolveThermalDetailed is SolveThermal but also returns a private clone
+// of the converged state (for heatmaps and further probing; mutating it
+// cannot disturb the memoized snapshot).
+func (s *Session) SolveThermalDetailed(c ThermalCase) (*thermal.State, ThermalResult, error) {
+	snap, err := s.thermalSolve(c)
 	if err != nil {
 		return nil, ThermalResult{}, err
 	}
-	grids := thermalPowerGrids(c, fp, thermal.GridResolution)
+	return snap.state.Clone(), snap.res, nil
+}
+
+// thermalSolve resolves a case through the thermal engine.
+func (s *Session) thermalSolve(c ThermalCase) (*thermalSnapshot, error) {
+	k, err := s.thermalRequest(c)
+	if err != nil {
+		return nil, err
+	}
+	return s.thermalEng.Get(k)
+}
+
+// thermalRequest normalizes a case, keys it, and records the case
+// behind the key so computeThermal can rebuild its grids. The first
+// case recorded for a key is kept: any other case with that key
+// installs the same grids.
+func (s *Session) thermalRequest(c ThermalCase) (thermalKey, error) {
+	c = c.norm()
+	fp, err := buildPlan(c.Model, c.Opt)
+	if err != nil {
+		return thermalKey{}, err
+	}
 	geom := thermalGeomKey(fp, thermal.GridResolution)
-	key := thermalKey{geom: geom, fp: fingerprintGrids(geom, grids)}
-
-	for {
-		s.thermalMu.Lock()
-		if snap, ok := s.thermalSnaps[key]; ok {
-			s.thermalStats.Hits++
-			s.thermalMu.Unlock()
-			return snapState(snap, withState), snap.res, nil
-		}
-		if call, ok := s.thermalInflight[key]; ok {
-			s.thermalStats.Joins++
-			s.thermalMu.Unlock()
-			<-call.done
-			// The computer either published the snapshot before closing
-			// done, or withdrew on error — in which case loop around and
-			// compute it ourselves.
-			s.thermalMu.Lock()
-			snap, ok := s.thermalSnaps[key]
-			s.thermalMu.Unlock()
-			if ok {
-				return snapState(snap, withState), snap.res, nil
-			}
-			continue
-		}
-		call := &thermalCall{done: make(chan struct{})}
-		s.thermalInflight[key] = call
-		m := s.modelForLocked(geom, func() thermal.Config { return stackFor(fp, thermal.GridResolution) })
-		s.thermalMu.Unlock()
-
-		snap, err := s.computeThermal(m, fp, grids)
-		s.thermalMu.Lock()
-		if err == nil {
-			s.thermalSnaps[key] = snap
-			s.thermalStats.Solves++
-			s.thermalStats.FineIters += int64(snap.res.Iters)
-			s.thermalStats.CoarseIters += int64(snap.res.CoarseIters)
-		}
-		delete(s.thermalInflight, key)
-		s.thermalMu.Unlock()
-		close(call.done)
-		if err != nil {
-			return nil, ThermalResult{}, err
-		}
-		return snapState(snap, withState), snap.res, nil
+	k := thermalKey{geom: geom, fp: fingerprintGrids(geom, thermalPowerGrids(c, fp, thermal.GridResolution))}
+	s.thermalMu.Lock()
+	defer s.thermalMu.Unlock()
+	if _, ok := s.thermalCases[k]; !ok {
+		s.thermalCases[k] = c
 	}
+	return k, nil
 }
 
-// snapState clones the published field when the caller asked for one;
-// the snapshot itself stays immutable.
-func snapState(snap *thermalSnapshot, withState bool) *thermal.State {
-	if !withState {
-		return nil
+// computeThermal is the thermal engine's compute function: one cold
+// solve of the case behind k — coarse-grid preconditioner, then the
+// parallel fine-grid SOR — on a private state over the shared model.
+// An error (a non-physical power map) is a pure function of the grids,
+// so the engine memoizes it like a result.
+func (s *Session) computeThermal(k thermalKey) (*thermalSnapshot, error) {
+	s.thermalMu.Lock()
+	c := s.thermalCases[k]
+	s.thermalMu.Unlock()
+	fp, err := buildPlan(c.Model, c.Opt)
+	if err != nil {
+		return nil, err
 	}
-	return snap.state.Clone()
-}
-
-// computeThermal runs one cold solve — coarse-grid preconditioner, then
-// the parallel fine-grid SOR — with no session lock held.
-func (s *Session) computeThermal(m *thermal.Model, fp *floorplan.Floorplan, grids [][][]float64) (*thermalSnapshot, error) {
-	st := m.NewState()
-	for die, grid := range grids {
+	st := s.thermalModel(fp, thermal.GridResolution).NewState()
+	for die, grid := range thermalPowerGrids(c, fp, thermal.GridResolution) {
 		if err := st.SetPower(die, grid); err != nil {
 			return nil, err
 		}
@@ -277,6 +255,8 @@ func (s *Session) computeThermal(m *thermal.Model, fp *floorplan.Floorplan, grid
 	if !converged {
 		s.thermalWarn.Add(1)
 	}
+	s.thermalFineIters.Add(int64(iters))
+	s.thermalCoarseIters.Add(int64(coarseIters))
 	res := ThermalResult{
 		PeakC:       st.PeakAllC(),
 		PeakDie1C:   st.PeakC(0),
@@ -341,74 +321,48 @@ func stackFor(fp *floorplan.Floorplan, res int) thermal.Config {
 	return cfg
 }
 
-// modelForLocked returns the cached immutable model for a geometry,
-// building it on first use. The map is initialized in NewSessionWith
-// (never lazily — a lazy init here raced once Session went concurrent)
-// and the caller must hold s.thermalMu; the returned model is immutable
-// and safe to use after the lock is released.
-func (s *Session) modelForLocked(key string, build func() thermal.Config) *thermal.Model {
-	if m, ok := s.models[key]; ok {
-		return m
-	}
-	m := thermal.NewModel(build())
-	s.models[key] = m
-	return m
-}
-
-// thermalModel returns the cached model for a floorplan geometry at the
-// given resolution (the DTM study reuses steady-state stacks at a
-// coarser transient grid).
+// thermalModel returns the cached immutable model for a floorplan
+// geometry at the given resolution, building it on first use (the DTM
+// study reuses steady-state stacks at a coarser transient grid). The
+// returned model is safe to use after the lock is released.
 func (s *Session) thermalModel(fp *floorplan.Floorplan, res int) *thermal.Model {
 	key := thermalGeomKey(fp, res)
 	s.thermalMu.Lock()
 	defer s.thermalMu.Unlock()
-	return s.modelForLocked(key, func() thermal.Config { return stackFor(fp, res) })
+	m, ok := s.models[key]
+	if !ok {
+		m = thermal.NewModel(stackFor(fp, res))
+		s.models[key] = m
+	}
+	return m
 }
 
-// ThermalStats returns the snapshot-store counters.
+// ThermalStats returns the thermal engine's counters.
 func (s *Session) ThermalStats() ThermalStats {
-	s.thermalMu.Lock()
-	defer s.thermalMu.Unlock()
-	return s.thermalStats
+	st := s.thermalEng.Stats()
+	return ThermalStats{
+		Solves:      int64(st.Computed - st.Errors),
+		Hits:        int64(st.Hits),
+		Joins:       int64(st.Joins),
+		FineIters:   s.thermalFineIters.Load(),
+		CoarseIters: s.thermalCoarseIters.Load(),
+	}
 }
 
-// PrefetchThermal solves the given cases across a bounded worker pool.
-// Duplicate cases collapse onto one solve through the snapshot store's
-// singleflight; results are published deterministically (any solver of
-// a case produces identical bytes), so the store's content does not
-// depend on worker count or completion order. The first error (in case
-// order) is returned.
-func (s *Session) PrefetchThermal(cases []ThermalCase, workers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cases) {
-		workers = len(cases)
-	}
-	if len(cases) == 0 {
-		return nil
-	}
-	errs := make([]error, len(cases))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				_, errs[i] = s.SolveThermal(cases[i])
-			}
-		}()
-	}
-	for i := range cases {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
+// PrefetchThermal solves the given cases across the thermal engine's
+// worker pool. Duplicate cases collapse onto one solve, and the engine
+// commits in canonical key order, so what it memoizes does not depend
+// on worker count or completion order. It returns the first error in
+// case order for an unknown chip model, else the engine's first error
+// in key order.
+func (s *Session) PrefetchThermal(cases []ThermalCase) error {
+	keys := make([]thermalKey, len(cases))
+	for i, c := range cases {
+		k, err := s.thermalRequest(c)
 		if err != nil {
 			return err
 		}
+		keys[i] = k
 	}
-	return nil
+	return s.thermalEng.Prefetch(keys)
 }

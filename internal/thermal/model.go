@@ -15,12 +15,12 @@ const omega = 1.85
 // solve of the same layer stack.
 const coarseFactor = 5
 
-// Model is the immutable half of the solver: everything NewSolver used
-// to precompute — geometry, conductances, heat-layer indices, the
-// ambient boundary — plus a coarse-grid companion model for the
-// preconditioner. A Model is safe to share between any number of
-// concurrent solves: all mutable per-solve data (temperature and power
-// fields) lives in State values created by NewState.
+// Model is the immutable half of the solver: geometry, conductances,
+// heat-layer indices, the ambient boundary — plus a coarse-grid
+// companion model for the preconditioner. A Model is safe to share
+// between any number of concurrent solves: all mutable per-solve data
+// (temperature and power fields) lives in State values created by
+// NewState.
 type Model struct {
 	cfg Config
 	nl  int // layers
@@ -45,7 +45,7 @@ type Model struct {
 }
 
 // NewModel precomputes the immutable solver structure for a stack; it
-// panics on invalid configuration (as NewSolver always has).
+// panics on invalid configuration.
 func NewModel(cfg Config) *Model {
 	return newModel(cfg, true)
 }
@@ -167,7 +167,10 @@ func (st *State) CopyFrom(src *State) error {
 // SetPower installs the power map (W per cell) for the die with the
 // given heat-layer ordinal (0 = die 1, 1 = die 2). The grid dimensions
 // must match the model's: every row is length-checked, so a ragged grid
-// is an error, never a panic.
+// is an error, never a panic. Every cell must be a finite, non-negative
+// power: a NaN never raises the solver's update norm, so it would
+// "converge" at once on a meaningless field, and negative power cools
+// the chip below ambient. The state is unchanged when SetPower fails.
 func (st *State) SetPower(die int, grid [][]float64) error {
 	m := st.m
 	if die < 0 || die >= len(m.heatLayers) {
@@ -179,6 +182,11 @@ func (st *State) SetPower(die int, grid [][]float64) error {
 	for y, row := range grid {
 		if len(row) != m.nx {
 			return fmt.Errorf("thermal: power grid row %d has %d cells, want %d", y, len(row), m.nx)
+		}
+		for x, w := range row {
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return fmt.Errorf("thermal: die %d power at row %d, column %d is %v W, want a finite non-negative value", die, y, x, w)
+			}
 		}
 	}
 	l := m.heatLayers[die]

@@ -3,6 +3,7 @@ package thermal
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -152,7 +153,7 @@ func TestPreconditionTinyGridNoop(t *testing.T) {
 // (or an empty grid) is an error, never an index-out-of-range panic.
 func TestSetPowerRaggedGrid(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 
 	grid := make([][]float64, cfg.Ny)
 	for y := range grid {
@@ -174,6 +175,24 @@ func TestSetPowerRaggedGrid(t *testing.T) {
 	}
 	if err := s.SetPower(5, grid); err == nil {
 		t.Error("out-of-range die accepted")
+	}
+
+	// Non-physical cells: the error names the die, row and column, and
+	// the state keeps its previous power map.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -500} {
+		g := testGrid(cfg, 40)
+		g[7][3] = bad
+		err := s.SetPower(0, g)
+		if err == nil {
+			t.Errorf("power %v accepted", bad)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "die 0") || !strings.Contains(msg, "row 7, column 3") {
+			t.Errorf("power %v: error %q does not name die 0, row 7, column 3", bad, msg)
+		}
+		if p := s.TotalPower(); p > 0 {
+			t.Errorf("power %v: rejected grid left %v W installed", bad, p)
+		}
 	}
 }
 

@@ -37,9 +37,8 @@ func capacityFor(l Layer) float64 {
 // temperature chases a time-varying power map (the paper invokes DTM as
 // the alternative to over-provisioned cooling in §3.2).
 type Transient struct {
-	m   *Model
-	st  *State
-	sol *Solver // single-owner view over st for power/readout access
+	m  *Model
+	st *State
 	// capJ is each cell's heat capacity in joules per kelvin.
 	capJ []float64
 	// maxStablePs is the largest stable explicit-Euler step.
@@ -58,7 +57,7 @@ func NewTransient(cfg Config) *Transient { return NewTransientFromModel(NewModel
 func NewTransientFromModel(m *Model) *Transient {
 	cfg := m.cfg
 	st := m.NewState()
-	t := &Transient{m: m, st: st, sol: st.Solver()}
+	t := &Transient{m: m, st: st}
 	cellWm := cfg.DieWmm / float64(cfg.Nx) * 1e-3
 	cellHm := cfg.DieHmm / float64(cfg.Ny) * 1e-3
 	t.capJ = make([]float64, len(st.temp))
@@ -93,9 +92,12 @@ func NewTransientFromModel(m *Model) *Transient {
 	return t
 }
 
-// Solver exposes the integrator's state through the single-owner solver
-// API (power maps, temperature readout).
-func (t *Transient) Solver() *Solver { return t.sol }
+// State returns the integrator's state (power maps, temperature
+// readout).
+func (t *Transient) State() *State { return t.st }
+
+// Solver returns the integrator's model and state as a Solver.
+func (t *Transient) Solver() *Solver { return &Solver{m: t.m, st: t.st} }
 
 // TimePs returns the integrated simulation time.
 func (t *Transient) TimePs() float64 { return t.timePs }
